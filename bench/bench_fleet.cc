@@ -1,7 +1,7 @@
 // Fleet-scale co-simulation bench: how many supervised driver stacks the
-// event-driven engine soaks to quiescence per host second, swept across fleet
-// sizes, plus the determinism tripwire (one fixed fleet run at three thread
-// counts must produce one byte-identical aggregate signature).
+// fleet soaks to quiescence per host second, swept across fleet sizes, plus
+// the determinism tripwire (one fixed fleet run at three thread counts must
+// produce one byte-identical aggregate signature).
 //
 // Two sections:
 //   fleet_scaling       stack-count sweep 1 -> 4096 over the mixed soak
@@ -37,8 +37,8 @@ sim::FleetReport RunFleet(int num_stacks, int num_threads, uint64_t base_seed) {
 
 bool RunScalingSection(bench::JsonReport* json, bool quick) {
   bench::PrintHeader(
-      "Fleet scaling: mixed supervised soak population, one shared timeline\n"
-      "(seed base 1, single worker; stacks/s is host-side throughput)");
+      "Fleet scaling: mixed supervised soak population, each stack run to\n"
+      "quiescence (seed base 1, single worker; stacks/s is host-side throughput)");
   bench::Table table({8, 10, 10, 9, 9, 8, 12, 12});
   table.Row({"Stacks", "stacks/s", "ops/s", "faults", "resets", "wedged",
              "makespan ms", "host s"});

@@ -591,23 +591,7 @@ class SymExecutor {
   ModuleSummary summary_;
 };
 
-}  // namespace
-
-bool ModuleSummary::AllProved(bool* any_assumed) const {
-  bool assumed = false;
-  bool all = complete;
-  for (const SiteVerdict& site : sites) {
-    if (!site.proved) {
-      all = false;
-    }
-    assumed = assumed || (site.proved && site.assumed);
-  }
-  if (any_assumed != nullptr) {
-    *any_assumed = assumed;
-  }
-  return all;
-}
-
+// Contract-derived per-word facts for one external channel (see ExternalFacts).
 std::vector<SymVal> ContractWordFacts(const esi::SystemInfo& info, const esi::ChannelInfo& channel,
                                       ExternalFacts mode) {
   std::vector<SymVal> words(channel.flat_size, SymVal::Top());
@@ -645,6 +629,23 @@ std::vector<SymVal> ContractWordFacts(const esi::SystemInfo& info, const esi::Ch
     }
   }
   return words;
+}
+
+}  // namespace
+
+bool ModuleSummary::AllProved(bool* any_assumed) const {
+  bool assumed = false;
+  bool all = complete;
+  for (const SiteVerdict& site : sites) {
+    if (!site.proved) {
+      all = false;
+    }
+    assumed = assumed || (site.proved && site.assumed);
+  }
+  if (any_assumed != nullptr) {
+    *any_assumed = assumed;
+  }
+  return all;
 }
 
 ModuleSummary AnalyzeModuleSym(const ir::Module& module, const ChannelFacts& facts,
@@ -685,8 +686,7 @@ uint64_t CompilationSummary::TotalSolverQueries() const {
   return n;
 }
 
-CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp, const SymOptions& options,
-                                         const ChannelFacts& native_facts) {
+CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp, const SymOptions& options) {
   auto start = std::chrono::steady_clock::now();
   CompilationSummary out;
   const std::vector<ir::Module>& modules = comp.modules();
@@ -701,11 +701,10 @@ CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp, const SymO
     }
   }
 
-  // Seed: declared native facts are trusted; internal channels start from
-  // the per-field storage envelope (sound: every staged word is truncated to
-  // its field type before the send); external channels get contract or top
-  // facts per the options.
-  ChannelFacts facts = native_facts;
+  // Seed: internal channels start from the per-field storage envelope (sound:
+  // every staged word is truncated to its field type before the send);
+  // external channels get contract or top facts per the options.
+  ChannelFacts facts;
   for (const ir::Module& m : modules) {
     for (const ir::Port& p : m.ports) {
       if (facts.count(p.channel) != 0) {

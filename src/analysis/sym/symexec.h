@@ -14,18 +14,18 @@
 //
 // Channel I/O is a symbolic rendezvous: kRecv draws per-word facts for the
 // port's channel (computed sender summaries for in-compilation senders,
-// declared facts for native checker processes, assumed ESI contract ranges
-// for external senders — the same ranges monitor::MonitorSpec::FromSystem
-// derives), and kSend folds the staged words into the module's send summary.
-// AnalyzeCompilationSym iterates modules to a fact fixpoint
-// (assume-guarantee: the seed over-approximates every real message, and the
-// transfer is monotone, so each round's summaries stay sound).
+// assumed ESI contract ranges for external senders — the same ranges
+// monitor::MonitorSpec::FromSystem derives), and kSend folds the staged words
+// into the module's send summary. AnalyzeCompilationSym iterates modules to a
+// fact fixpoint (assume-guarantee: the seed over-approximates every real
+// message, and the transfer is monotone, so each round's summaries stay
+// sound).
 //
 // The proof obligations tracked per module are exactly the executor's
 // failure points: kAssert conditions, division/modulo divisors, and
 // kLoadIdx/kStoreIdx index bounds. A module whose every obligation is proved
 // without assumed facts cannot fail a safety check on any schedule — the
-// basis for the checker fast path and the monitor-bound discharge.
+// basis for the monitor-bound discharge.
 
 #ifndef SRC_ANALYSIS_SYM_SYMEXEC_H_
 #define SRC_ANALYSIS_SYM_SYMEXEC_H_
@@ -43,8 +43,7 @@
 
 namespace efeu::analysis::sym {
 
-// How to seed facts for channels whose sender is outside the compilation
-// (and not covered by declared native facts).
+// How to seed facts for channels whose sender is outside the compilation.
 enum class ExternalFacts {
   // The ESI contract ranges (enum ordinals, storage ranges). These are an
   // *assumption* about the external world — nothing compiled here enforces
@@ -104,8 +103,7 @@ struct BranchInfo {
   // dead against ANY contract-honoring peer, not just the peers this
   // compilation happens to pair the module with. Only these are lint
   // findings; peer-derived dead arms are configuration facts (visible in
-  // --dump-sym and exploited by the checker fast path) rather than spec
-  // defects.
+  // --dump-sym) rather than spec defects.
   bool from_types = false;
 };
 
@@ -142,10 +140,6 @@ struct ModuleSummary {
 // Facts per channel: one SymVal per flat message word.
 using ChannelFacts = std::map<const esi::ChannelInfo*, std::vector<SymVal>>;
 
-// Contract-derived per-word facts for one channel (see ExternalFacts).
-std::vector<SymVal> ContractWordFacts(const esi::SystemInfo& info, const esi::ChannelInfo& channel,
-                                      ExternalFacts mode);
-
 // Symbolically executes one module under the given per-channel recv facts.
 ModuleSummary AnalyzeModuleSym(const ir::Module& module, const ChannelFacts& facts,
                                const SymOptions& options = {});
@@ -161,12 +155,8 @@ struct CompilationSummary {
 };
 
 // Runs the assume-guarantee iteration over every module of a compilation.
-// `native_facts` declares what non-compiled (native checker) processes may
-// send, per channel; those facts are trusted (taint-free) — the explicit
-// checker trusts the same native code.
 CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp,
-                                         const SymOptions& options = {},
-                                         const ChannelFacts& native_facts = {});
+                                         const SymOptions& options = {});
 
 // Deterministic human-readable rendering (goldens, esmc --dump-sym).
 std::string RenderSymSummary(const ir::Compilation& comp, const CompilationSummary& summary);

@@ -1,16 +1,14 @@
 #include "src/sim/fleet.h"
 
-#include <cassert>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "src/driver/mfd.h"
 #include "src/driver/resources.h"
 #include "src/i2c/stack.h"
-#include "src/sim/event_queue.h"
 #include "src/support/diagnostics.h"
+#include "src/support/parallel_for.h"
 
 namespace efeu::sim {
 
@@ -110,10 +108,8 @@ namespace {
 
 using FleetSupervisor = driver::Supervisor<driver::HybridDriver>;
 
-// One isolated supervised stack registered as an event source: RunNextEvent
-// executes exactly one workload operation and returns the stack-local virtual
-// time to reschedule at, or a negative value once quiescent (workload done or
-// failed terminally).
+// One isolated supervised stack and its workload. Run() executes the
+// operations in order until the workload is done or one fails terminally.
 class StackContext {
  public:
   StackContext(int id, const StackConfig& config,
@@ -136,23 +132,18 @@ class StackContext {
     }
   }
 
-  double RunNextEvent() {
-    if (done_) {
-      return -1;
+  void Run() {
+    const int eeprom_ops = config_.rounds * 2;
+    for (int op = 0; op < total_ops_; ++op) {
+      ++report_.ops_attempted;
+      std::string step = op < eeprom_ops ? RunEepromOp(op) : RunMfdOp(op - eeprom_ops);
+      if (!step.empty()) {
+        Fail(op, step);
+        return;
+      }
+      ++report_.ops_completed;
     }
-    const int op = next_op_++;
-    std::string step = op < config_.rounds * 2 ? RunEepromOp(op)
-                                               : RunMfdOp(op - config_.rounds * 2);
-    if (!step.empty()) {
-      Fail(op, step);
-      return -1;
-    }
-    ++report_.ops_completed;
-    if (next_op_ >= total_ops_) {
-      Finish();
-      return -1;
-    }
-    return driver_->now_ns();
+    Finish();
   }
 
   const StackReport& report() const { return report_; }
@@ -241,7 +232,6 @@ class StackContext {
   }
 
   void Fail(int op, const std::string& step) {
-    done_ = true;
     report_.completed = false;
     Collect();
     report_.failure =
@@ -253,7 +243,6 @@ class StackContext {
   }
 
   void Finish() {
-    done_ = true;
     Collect();
     if (report_.health == driver::HealthState::kWedged) {
       report_.completed = false;
@@ -275,9 +264,7 @@ class StackContext {
   std::unique_ptr<driver::MfdClient<FleetSupervisor>> mfd_;
   uint16_t gpio_pattern_ = 0;
   uint64_t gpio_irqs_ = 0;
-  int next_op_ = 0;
   int total_ops_ = 0;
-  bool done_ = false;
 };
 
 const std::vector<uint8_t> StackContext::kPayload = {0x10, 0x32, 0x54, 0x76};
@@ -296,6 +283,7 @@ void MergeStackReport(const StackReport& stack, FleetReport* fleet) {
       break;
   }
   fleet->ops_completed += stack.ops_completed;
+  fleet->events_processed += stack.ops_attempted;
   fleet->faults_injected += stack.faults_injected;
 
   const driver::RecoveryCounters& r = stack.recovery;
@@ -462,14 +450,11 @@ int Fleet::AddStack(const StackConfig& config) {
 StackReport RunStackStandalone(int id, const StackConfig& config,
                                std::shared_ptr<const ir::Compilation> compilation) {
   StackContext context(id, config, std::move(compilation));
-  while (context.RunNextEvent() >= 0) {
-  }
+  context.Run();
   return context.report();
 }
 
 FleetReport Fleet::Run() {
-  assert(!ran_ && "a Fleet runs once");
-  ran_ = true;
   const int n = num_stacks();
   FleetReport report;
   report.num_stacks = n;
@@ -489,49 +474,16 @@ FleetReport Fleet::Run() {
   }
 
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<StackContext>> stacks(static_cast<size_t>(n));
-  std::vector<uint64_t> shard_events(static_cast<size_t>(threads), 0);
-
-  // One event queue per shard; shard s owns stacks s, s+threads, s+2*threads,
-  // ... Stacks are isolated, so shard-local interleaving cannot change any
-  // per-stack result; only the merge order below matters, and that is always
-  // stack-id order.
-  auto run_shard = [&](int shard) {
-    EventQueue queue;
-    for (int id = shard; id < n; id += threads) {
-      stacks[static_cast<size_t>(id)] =
-          std::make_unique<StackContext>(id, configs_[static_cast<size_t>(id)],
-                                         compilation_);
-      queue.Schedule(0.0, static_cast<uint32_t>(id));
-    }
-    EventQueue::Event event;
-    while (queue.Pop(&event)) {
-      ++shard_events[static_cast<size_t>(shard)];
-      double next = stacks[event.source]->RunNextEvent();
-      if (next >= 0) {
-        queue.Schedule(next, event.source);
-      }
-    }
-  };
-
-  if (threads == 1) {
-    run_shard(0);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(threads));
-    for (int shard = 0; shard < threads; ++shard) {
-      workers.emplace_back(run_shard, shard);
-    }
-    for (std::thread& worker : workers) {
-      worker.join();
-    }
-  }
-
-  for (int id = 0; id < n; ++id) {
-    MergeStackReport(stacks[static_cast<size_t>(id)]->report(), &report);
-  }
-  for (uint64_t events : shard_events) {
-    report.events_processed += events;
+  // Each worker runs one stack at a time to quiescence and frees it before
+  // claiming the next id, so only `threads` stacks are ever resident. Stacks
+  // are isolated, so which worker runs a stack, and when, cannot change its
+  // report; only the merge order below matters, and that is stack-id order.
+  std::vector<StackReport> stacks(static_cast<size_t>(n));
+  ParallelFor(stacks.size(), threads, [&](size_t id) {
+    stacks[id] = RunStackStandalone(static_cast<int>(id), configs_[id], compilation_);
+  });
+  for (const StackReport& stack : stacks) {
+    MergeStackReport(stack, &report);
   }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;

@@ -1,18 +1,17 @@
-// Fleet-scale co-simulation: thousands of isolated supervised driver stacks
-// stepped on one deterministic virtual timeline by the shared EventQueue
-// (src/sim/event_queue.h). Each stack is a full HybridDriver — its own RTL
-// system, bus, devices, software VM — wrapped in a Supervisor and driven
-// through a per-class soak workload under a seeded FaultPlan; one event is
-// one supervised operation, and after each operation the stack reschedules
-// itself at its own virtual completion time.
+// Fleet-scale co-simulation: thousands of isolated supervised driver stacks,
+// each run to quiescence on its own virtual timeline. Each stack is a full
+// HybridDriver — its own RTL system, bus, devices, software VM — wrapped in a
+// Supervisor and driven through a per-class soak workload under a seeded
+// FaultPlan. There is no shared timer wheel: stacks never interact, so there
+// is nothing to order between them.
 //
 // Stacks are fully isolated (no shared mutable state beyond the read-only
-// compiled controller stack), so per-stack results are independent of event
-// interleaving. The fleet exploits that for parallelism: with num_threads>1,
-// stacks shard by id onto per-shard event queues drained by worker threads,
-// and the aggregate report is merged in stack-id order — byte-identical for
-// any thread count, which the determinism regression pins via
-// FleetReport::CounterSignature().
+// compiled controller stack), so a stack's report does not depend on which
+// worker runs it or when. The fleet exploits that for parallelism: worker
+// threads claim stack ids from a shared counter and run each stack through
+// RunStackStandalone, and the aggregate report is merged in stack-id order —
+// byte-identical for any thread count, which the determinism regression pins
+// via FleetReport::CounterSignature().
 
 #ifndef SRC_SIM_FLEET_H_
 #define SRC_SIM_FLEET_H_
@@ -63,7 +62,7 @@ struct StackConfig {
 // mode under N distinct fault schedules.
 StackConfig MakeSoakStack(int index, uint64_t base_seed);
 
-// Outcome of one stack at quiescence (its event source drained).
+// Outcome of one stack at quiescence (its workload done or failed).
 struct StackReport {
   int id = 0;
   StackClass stack_class = StackClass::kEeprom;
@@ -75,6 +74,9 @@ struct StackReport {
   // Replay-ready failure description (seed, trace, replay command, counter
   // dumps); empty on success.
   std::string failure;
+  // Supervised operations started (a terminally failing one included) and
+  // completed.
+  uint64_t ops_attempted = 0;
   uint64_t ops_completed = 0;
   uint64_t faults_injected = 0;
   driver::RecoveryCounters recovery;
@@ -84,9 +86,9 @@ struct StackReport {
 };
 
 struct FleetOptions {
-  // Worker threads. Stacks shard by id % num_threads onto per-shard event
-  // queues; aggregates merge in stack-id order, so the report is identical
-  // for any thread count.
+  // Worker threads. Workers claim stacks by id and run each to quiescence;
+  // aggregates merge in stack-id order, so the report is identical for any
+  // thread count.
   int num_threads = 1;
   // Carried into every stack's HybridConfig (fleet soaks run monitored).
   bool enable_monitors = true;
@@ -106,6 +108,7 @@ struct FleetReport {
 
   uint64_t ops_completed = 0;
   uint64_t faults_injected = 0;
+  // One event per supervised-operation call (StackReport::ops_attempted).
   uint64_t events_processed = 0;
   driver::RecoveryCounters recovery;  // summed in stack-id order
   monitor::TripCounters monitor;      // merged in stack-id order
@@ -139,9 +142,8 @@ struct FleetReport {
 int HistogramBucket(uint64_t count);
 const char* HistogramBucketLabel(int bucket);
 
-// Runs one stack's full workload to quiescence directly — no event queue, no
-// fleet — and returns its report. The engine-vs-legacy determinism regression
-// compares this against a single-stack Fleet run; null compilation compiles
+// Runs one stack's full workload to quiescence and returns its report.
+// Fleet::Run runs every stack through this; null compilation compiles
 // privately.
 StackReport RunStackStandalone(
     int id, const StackConfig& config,
@@ -159,12 +161,11 @@ class Fleet {
   int AddStack(const StackConfig& config);
   int num_stacks() const { return static_cast<int>(configs_.size()); }
 
-  // Builds every stack, drains the event queues to quiescence and merges the
-  // per-stack reports. Callable once per Fleet.
+  // Builds every stack afresh, runs each to quiescence and merges the
+  // per-stack reports. Repeated calls return the same deterministic report.
   FleetReport Run();
 
-  // The HybridConfig a fleet stack runs under (shared by the engine-vs-legacy
-  // determinism test, which replays the same workload without the engine).
+  // The HybridConfig a fleet stack runs under.
   static driver::HybridConfig BuildStackHybridConfig(
       const StackConfig& config,
       std::shared_ptr<const ir::Compilation> compilation);
@@ -173,7 +174,6 @@ class Fleet {
   FleetOptions options_;
   std::vector<StackConfig> configs_;
   std::shared_ptr<const ir::Compilation> compilation_;
-  bool ran_ = false;
 };
 
 }  // namespace efeu::sim
