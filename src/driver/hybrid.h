@@ -185,6 +185,9 @@ class HybridDriver {
   bool EnsureMuxSelected();
 
   sim::I2cBus& bus() { return bus_; }
+  // The hardware clock domain, exposed for instrumentation (post-tick
+  // hooks, wire tracing); ticking it directly bypasses the driver.
+  rtl::RtlSystem& rtl_system() { return rtl_; }
   sim::Eeprom24aa512& eeprom() { return *eeprom_; }
   sim::Eeprom24aa512& extra_eeprom(int index) { return *extra_eeproms_[index]; }
   // Topology components; null/empty unless configured.
