@@ -687,9 +687,9 @@ bool HybridDriver::Transact(const std::vector<int32_t>& request,
 void HybridDriver::SoftReset() {
   ++recovery_counters_.soft_resets;
   // Hardware side: every layer FSM, the adapter and the register file back
-  // to their initial state. Component resets publish deasserted handshake
-  // flags at their next Commit at the earliest, so clear the wires directly
-  // too — a peer must not observe a stale pre-reset valid/ready.
+  // to their initial state, with their handshake flags deasserted at once.
+  // Clearing the wires also drops every stale payload, so a peer cannot
+  // observe a pre-reset message.
   for (const std::unique_ptr<rtl::RtlModule>& module : hw_modules_) {
     module->Reset();
   }

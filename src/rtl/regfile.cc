@@ -6,6 +6,7 @@ namespace efeu::rtl {
 
 void MmioRegfile::SoftReset() {
   std::fill(down_staged_.begin(), down_staged_.end(), 0);
+  down_dirty_ = false;
   sw_down_valid_ = false;
   down_out_valid_ = false;
   next_down_out_valid_ = false;
@@ -70,7 +71,10 @@ void MmioRegfile::Commit() {
       sw_down_valid_ = false;
     }
     down_wire_->valid = down_out_valid_;
-    down_wire_->data = down_staged_;
+    if (down_dirty_) {
+      down_wire_->data = down_staged_;
+      down_dirty_ = false;
+    }
   }
   if (up_wire_ != nullptr) {
     if (next_latch_up_) {

@@ -36,12 +36,16 @@ class MmioRegfile : public RtlComponent {
   void BindUp(HsWire* wire) { up_wire_ = wire; }
 
   // -- Software-side register accesses (between ticks) ---------------------
-  void WriteDownWord(int index, int32_t value) { down_staged_[index] = value; }
+  void WriteDownWord(int index, int32_t value) {
+    down_staged_[index] = value;
+    down_dirty_ = true;
+  }
   // Burst write: stages every data word in one AXI burst. Register contents
   // are identical to word-at-a-time access; only the modeled bus cost (paid
   // by the driver's timing model) differs.
   void WriteDown(std::span<const int32_t> words) {
     std::copy(words.begin(), words.end(), down_staged_.begin());
+    down_dirty_ = true;
   }
   void SetDownValid() { sw_down_valid_ = true; }
   // True while the published message has not been consumed by hardware.
@@ -75,6 +79,8 @@ class MmioRegfile : public RtlComponent {
   HsWire* up_wire_ = nullptr;
 
   std::vector<int32_t> down_staged_;
+  // Software wrote down_staged_ since it was last published onto the wire.
+  bool down_dirty_ = false;
   bool sw_down_valid_ = false;
   bool down_out_valid_ = false;
   bool next_down_out_valid_ = false;

@@ -33,26 +33,23 @@ class RtlModule : public RtlComponent {
   bool halted() const { return halted_; }
   // Cumulative clock cycles in which the FSM did useful (non-waiting) work.
   uint64_t busy_cycles() const { return busy_cycles_; }
-  // Committed frame contents (differential comparison against the VM/checker
-  // frames; layouts are identical because both execute the same ir::Module).
+  // Frame contents after the last clock edge (differential comparison
+  // against the VM/checker frames; layouts are identical because both
+  // execute the same ir::Module).
   std::span<const int32_t> frame() const { return frame_; }
 
+  // Back to the initial state, publishing the deasserted handshake flags
+  // and a zero send payload on the bound wires immediately.
   void Reset();
 
  private:
   struct PortState {
     HsWire* wire = nullptr;
-    // Registered outputs (what the peer currently sees).
-    bool out_valid = false;
-    bool out_ready = false;
-    std::vector<int32_t> out_data;
-    // Staged next values.
-    bool next_valid = false;
-    bool next_ready = false;
-    std::vector<int32_t> next_data;
+    bool is_send = false;
+    // The registered handshake output the peer currently sees: valid for a
+    // send port, ready for a receive port.
+    bool out = false;
   };
-
-  int32_t Read(int slot) const { return frame_[slot]; }
 
   const ir::Module* module_;
   std::string name_;
@@ -62,9 +59,9 @@ class RtlModule : public RtlComponent {
   int segment_ = 0;
   // True while in the extra de-assert-ready state after a receive.
   bool in_recv_deassert_ = false;
-  int next_segment_ = 0;
-  bool next_in_recv_deassert_ = false;
-  std::vector<int32_t> next_frame_;
+  // The port whose handshake flag toggles at this clock edge's Commit(), or
+  // -1. A segment drives at most one handshake per cycle.
+  int toggle_port_ = -1;
   bool halted_ = false;
   uint64_t busy_cycles_ = 0;
 };

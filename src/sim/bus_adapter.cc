@@ -12,23 +12,14 @@ BusAdapter::BusAdapter(I2cBus* bus, int half_cycle_ticks, bool deadline_pacing)
       deadline_pacing_(deadline_pacing) {}
 
 void BusAdapter::Evaluate() {
-  next_phase_ = phase_;
-  next_hold_left_ = hold_left_;
-  next_drive_scl_ = drive_scl_;
-  next_drive_sda_ = drive_sda_;
-  next_sample_scl_ = sample_scl_;
-  next_sample_sda_ = sample_sda_;
-  next_out_ready_ = out_ready_;
-  next_out_valid_ = out_valid_;
-
   ++tick_;
   switch (phase_) {
     case Phase::kWaitLevels:
       assert(down_wire_ != nullptr);
       if (out_ready_ && down_wire_->valid) {
-        next_drive_scl_ = down_wire_->data[0] != 0;
-        next_drive_sda_ = down_wire_->data[1] != 0;
-        next_out_ready_ = false;
+        drive_scl_ = down_wire_->data[0] != 0;
+        drive_sda_ = down_wire_->data[1] != 0;
+        out_ready_ = false;
         // Deadline pacing: back-to-back traffic is sampled one half period
         // after the previous sample (FSM handshake latency does not stretch
         // the bus period); a peer that shows up later than a half period
@@ -40,63 +31,58 @@ void BusAdapter::Evaluate() {
         } else {
           deadline = std::max(tick_ + kMinHoldTicks, prev_sample_tick_ + half_cycle_ticks_);
         }
-        next_hold_left_ = static_cast<int>(deadline - tick_);
-        next_phase_ = Phase::kHold;
+        hold_left_ = static_cast<int>(deadline - tick_);
+        phase_ = Phase::kHold;
       } else {
-        next_out_ready_ = true;
+        out_ready_ = true;
       }
       break;
     case Phase::kHold:
       if (hold_left_ > 1) {
-        next_hold_left_ = hold_left_ - 1;
+        --hold_left_;
       } else {
         // Sample the combined bus at the end of the half cycle.
         if (fault_plan_ != nullptr) {
           fault_plan_->StepLineFaults(bus_);
         }
-        bool sampled_scl = bus_->scl();
-        bool sampled_sda = bus_->sda();
+        sample_scl_ = bus_->scl();
+        sample_sda_ = bus_->sda();
         // An ACK-window glitch can only flip a low bit the adapter is
         // listening to (its own SDA released, somebody else pulling low).
-        if (!sampled_sda && drive_sda_ && fault_plan_ != nullptr &&
+        if (!sample_sda_ && drive_sda_ && fault_plan_ != nullptr &&
             fault_plan_->ConsultAckGlitch()) {
-          sampled_sda = true;
+          sample_sda_ = true;
         }
-        next_sample_scl_ = sampled_scl;
-        next_sample_sda_ = sampled_sda;
         prev_sample_tick_ = tick_;
-        next_phase_ = Phase::kSendSample;
+        phase_ = Phase::kSendSample;
       }
       break;
     case Phase::kSendSample:
       assert(up_wire_ != nullptr);
       if (out_valid_ && up_wire_->ready) {
-        next_out_valid_ = false;
-        next_phase_ = Phase::kWaitLevels;
+        out_valid_ = false;
+        phase_ = Phase::kWaitLevels;
       } else {
-        next_out_valid_ = true;
+        out_valid_ = true;
       }
       break;
   }
 }
 
 void BusAdapter::Commit() {
-  phase_ = next_phase_;
-  hold_left_ = next_hold_left_;
-  drive_scl_ = next_drive_scl_;
-  drive_sda_ = next_drive_sda_;
-  sample_scl_ = next_sample_scl_;
-  sample_sda_ = next_sample_sda_;
-  out_ready_ = next_out_ready_;
-  out_valid_ = next_out_valid_;
-
   bus_->SetDriver(driver_id_, drive_scl_, drive_sda_);
   if (down_wire_ != nullptr) {
     down_wire_->ready = out_ready_;
   }
   if (up_wire_ != nullptr) {
     up_wire_->valid = out_valid_;
-    up_wire_->data = {sample_scl_ ? 1 : 0, sample_sda_ ? 1 : 0};
+    // The payload moves only when a new sample differs from it.
+    const int32_t scl = sample_scl_ ? 1 : 0;
+    const int32_t sda = sample_sda_ ? 1 : 0;
+    if (up_wire_->data[0] != scl || up_wire_->data[1] != sda) {
+      up_wire_->data[0] = scl;
+      up_wire_->data[1] = sda;
+    }
   }
 }
 

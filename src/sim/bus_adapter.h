@@ -43,13 +43,11 @@ class BusAdapter : public rtl::RtlComponent {
   // MmioRegfile::SoftReset). The pacing clock keeps running.
   void Reset() {
     phase_ = Phase::kWaitLevels;
-    next_phase_ = Phase::kWaitLevels;
     hold_left_ = 0;
-    next_hold_left_ = 0;
-    drive_scl_ = next_drive_scl_ = true;
-    drive_sda_ = next_drive_sda_ = true;
-    out_ready_ = next_out_ready_ = false;
-    out_valid_ = next_out_valid_ = false;
+    drive_scl_ = true;
+    drive_sda_ = true;
+    out_ready_ = false;
+    out_valid_ = false;
     bus_->SetDriver(driver_id_, true, true);
     if (down_wire_ != nullptr) {
       down_wire_->ready = false;
@@ -73,6 +71,8 @@ class BusAdapter : public rtl::RtlComponent {
   rtl::HsWire* up_wire_ = nullptr;
   FaultPlan* fault_plan_ = nullptr;
 
+  // Private state updates in place during Evaluate(); Commit() publishes the
+  // bus drive and the handshake outputs.
   Phase phase_ = Phase::kWaitLevels;
   int hold_left_ = 0;
   int64_t tick_ = 0;
@@ -83,15 +83,6 @@ class BusAdapter : public rtl::RtlComponent {
   bool sample_sda_ = true;
   bool out_ready_ = false;
   bool out_valid_ = false;
-
-  Phase next_phase_ = Phase::kWaitLevels;
-  int next_hold_left_ = 0;
-  bool next_drive_scl_ = true;
-  bool next_drive_sda_ = true;
-  bool next_sample_scl_ = true;
-  bool next_sample_sda_ = true;
-  bool next_out_ready_ = false;
-  bool next_out_valid_ = false;
 };
 
 }  // namespace efeu::sim

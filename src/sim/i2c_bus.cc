@@ -7,59 +7,6 @@ int I2cBus::AddDriver() {
   return static_cast<int>(drivers_.size()) - 1;
 }
 
-void I2cBus::SetDriver(int id, bool scl, bool sda) {
-  drivers_[id].scl = scl;
-  drivers_[id].sda = sda;
-}
-
-bool I2cBus::scl() const {
-  if (scl_forced_low_) {
-    return false;
-  }
-  for (const Drive& drive : drivers_) {
-    if (!drive.scl) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool I2cBus::sda() const {
-  if (sda_forced_low_) {
-    return false;
-  }
-  for (const Drive& drive : drivers_) {
-    if (!drive.sda) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool I2cBus::SclExcept(int id) const {
-  if (scl_forced_low_) {
-    return false;
-  }
-  for (int i = 0; i < static_cast<int>(drivers_.size()); ++i) {
-    if (i != id && !drivers_[i].scl) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool I2cBus::SdaExcept(int id) const {
-  if (sda_forced_low_) {
-    return false;
-  }
-  for (int i = 0; i < static_cast<int>(drivers_.size()); ++i) {
-    if (i != id && !drivers_[i].sda) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void I2cBus::Capture(double t_ns) {
   if (!capture_) {
     return;

@@ -15,18 +15,28 @@ class I2cBus {
   // Registers a new driver (initially releasing both lines); returns its id.
   int AddDriver();
 
-  void SetDriver(int id, bool scl, bool sda);
+  void SetDriver(int id, bool scl, bool sda) {
+    Drive& drive = drivers_[id];
+    scl_low_ += static_cast<int>(drive.scl) - static_cast<int>(scl);
+    sda_low_ += static_cast<int>(drive.sda) - static_cast<int>(sda);
+    drive.scl = scl;
+    drive.sda = sda;
+  }
 
   // Combined (wired-AND) levels.
-  bool scl() const;
-  bool sda() const;
+  bool scl() const { return !scl_forced_low_ && scl_low_ == 0; }
+  bool sda() const { return !sda_forced_low_ && sda_low_ == 0; }
 
   // Combined levels with one driver's contribution masked out (still honoring
   // a forced-low overlay). A pass-gate repeater (sim::I2cMux) forwards the
   // level of everyone-but-itself to the other bus segment, so its own
   // forwarded drive never feeds back as a latched low.
-  bool SclExcept(int id) const;
-  bool SdaExcept(int id) const;
+  bool SclExcept(int id) const {
+    return !scl_forced_low_ && scl_low_ == (drivers_[id].scl ? 0 : 1);
+  }
+  bool SdaExcept(int id) const {
+    return !sda_forced_low_ && sda_low_ == (drivers_[id].sda ? 0 : 1);
+  }
 
   // Fault-injection overlay: an externally forced-low line reads low for
   // every device, like a short to ground (the stuck-bus faults of
@@ -56,6 +66,9 @@ class I2cBus {
     bool sda = true;
   };
   std::vector<Drive> drivers_;
+  // Number of drivers pulling each line low.
+  int scl_low_ = 0;
+  int sda_low_ = 0;
   bool scl_forced_low_ = false;
   bool sda_forced_low_ = false;
   bool capture_ = false;

@@ -11,8 +11,6 @@ I2cMux::I2cMux(I2cBus* upstream, std::vector<I2cBus*> downstream, const MuxConfi
   for (I2cBus* bus : downstream_) {
     downstream_ids_.push_back(bus->AddDriver());
   }
-  next_down_scl_.assign(downstream_.size(), true);
-  next_down_sda_.assign(downstream_.size(), true);
 }
 
 int I2cMux::RotateMask(int mask) const {
@@ -171,35 +169,30 @@ void I2cMux::Evaluate() {
   // back as a latched low (see I2cBus::SclExcept).
   bool up_scl = upstream_->SclExcept(upstream_id_);
   bool up_sda = upstream_->SdaExcept(upstream_id_);
-  bool down_all_scl = true;
-  bool down_all_sda = true;
-  std::vector<bool> down_scl(downstream_.size(), true);
-  std::vector<bool> down_sda(downstream_.size(), true);
+  // Routed channels whose segment, the mux's own drive excluded, is low.
+  uint32_t scl_low = 0;
+  uint32_t sda_low = 0;
   for (size_t c = 0; c < downstream_.size(); ++c) {
     if ((routed_mask_ >> c) & 1) {
-      down_scl[c] = downstream_[c]->SclExcept(downstream_ids_[c]);
-      down_sda[c] = downstream_[c]->SdaExcept(downstream_ids_[c]);
-      down_all_scl = down_all_scl && down_scl[c];
-      down_all_sda = down_all_sda && down_sda[c];
+      scl_low |= downstream_[c]->SclExcept(downstream_ids_[c]) ? 0u : 1u << c;
+      sda_low |= downstream_[c]->SdaExcept(downstream_ids_[c]) ? 0u : 1u << c;
     }
   }
-  next_up_scl_ = down_all_scl;
-  next_up_sda_ = down_all_sda;
+  next_up_scl_ = scl_low == 0;
+  next_up_sda_ = sda_low == 0;
+  // A routed channel is driven with the upstream level ANDed with every other
+  // routed channel's; an unrouted one is released.
+  next_down_scl_ = ~0u;
+  next_down_sda_ = ~0u;
   for (size_t c = 0; c < downstream_.size(); ++c) {
+    const uint32_t bit = 1u << c;
     if ((routed_mask_ >> c) & 1) {
-      bool others_scl = true;
-      bool others_sda = true;
-      for (size_t o = 0; o < downstream_.size(); ++o) {
-        if (o != c && ((routed_mask_ >> o) & 1)) {
-          others_scl = others_scl && down_scl[o];
-          others_sda = others_sda && down_sda[o];
-        }
+      if (!up_scl || (scl_low & ~bit) != 0) {
+        next_down_scl_ &= ~bit;
       }
-      next_down_scl_[c] = up_scl && others_scl;
-      next_down_sda_[c] = up_sda && others_sda;
-    } else {
-      next_down_scl_[c] = true;
-      next_down_sda_[c] = true;
+      if (!up_sda || (sda_low & ~bit) != 0) {
+        next_down_sda_ &= ~bit;
+      }
     }
   }
 }
@@ -208,7 +201,8 @@ void I2cMux::Commit() {
   fsm_sda_ = next_fsm_sda_;
   upstream_->SetDriver(upstream_id_, next_up_scl_, next_up_sda_ && fsm_sda_);
   for (size_t c = 0; c < downstream_.size(); ++c) {
-    downstream_[c]->SetDriver(downstream_ids_[c], next_down_scl_[c], next_down_sda_[c]);
+    downstream_[c]->SetDriver(downstream_ids_[c], (next_down_scl_ >> c) & 1,
+                              (next_down_sda_ >> c) & 1);
   }
 }
 

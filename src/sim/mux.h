@@ -102,8 +102,9 @@ class I2cMux : public rtl::RtlComponent {
   // Staged pass-gate drives (computed in Evaluate, published in Commit).
   bool next_up_scl_ = true;
   bool next_up_sda_ = true;
-  std::vector<bool> next_down_scl_;
-  std::vector<bool> next_down_sda_;
+  // Downstream drives, bit c for channel c.
+  uint32_t next_down_scl_ = ~0u;
+  uint32_t next_down_sda_ = ~0u;
 
   FaultPlan* fault_plan_ = nullptr;
   uint64_t selects_applied_ = 0;

@@ -352,7 +352,11 @@ class EsmcExitCodes : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/esmc_exit_codes";
+    // One directory per test: ctest runs the tests of this fixture as
+    // parallel processes, and a shared directory lets one test rewrite the
+    // specs while another test's esmc reads them.
+    dir_ = ::testing::TempDir() + "/esmc_exit_codes_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::system(("mkdir -p " + dir_).c_str());
     WriteText(dir_ + "/ok.esi",
               "layer Env;\n"

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "src/ir/compile.h"
 #include "src/rtl/regfile.h"
 #include "src/rtl/rtl_module.h"
@@ -52,6 +58,54 @@ TEST(I2cBus, CaptureRecordsOnlyChanges) {
   EXPECT_FALSE(bus.samples()[1].scl);
 }
 
+// The incremental low-driver counts agree with a brute-force wired-AND over
+// every driver, through random drives, forced-low overlays and masked reads.
+TEST(I2cBus, IncrementalLevelsMatchBruteForce) {
+  constexpr int kDrivers = 5;
+  sim::I2cBus bus;
+  std::vector<std::pair<bool, bool>> drive(kDrivers, {true, true});
+  for (int i = 0; i < kDrivers; ++i) {
+    bus.AddDriver();
+  }
+  bool scl_forced = false;
+  bool sda_forced = false;
+  std::mt19937 rng(7);
+  for (int step = 0; step < 2000; ++step) {
+    const int id = static_cast<int>(rng() % kDrivers);
+    switch (rng() % 4) {
+      case 0:
+        scl_forced = rng() % 4 == 0;
+        bus.ForceSclLow(scl_forced);
+        break;
+      case 1:
+        sda_forced = rng() % 4 == 0;
+        bus.ForceSdaLow(sda_forced);
+        break;
+      default:
+        drive[id] = {rng() % 3 != 0, rng() % 3 != 0};
+        bus.SetDriver(id, drive[id].first, drive[id].second);
+        break;
+    }
+    auto level = [&](bool sda_line, int except) {
+      if (sda_line ? sda_forced : scl_forced) {
+        return false;
+      }
+      for (int d = 0; d < kDrivers; ++d) {
+        if (d != except && !(sda_line ? drive[d].second : drive[d].first)) {
+          return false;
+        }
+      }
+      return true;
+    };
+    ASSERT_EQ(bus.scl(), level(false, -1)) << "step " << step;
+    ASSERT_EQ(bus.sda(), level(true, -1)) << "step " << step;
+    for (int d = 0; d < kDrivers; ++d) {
+      ASSERT_EQ(bus.SclExcept(d), level(false, d)) << "step " << step << " driver " << d;
+      ASSERT_EQ(bus.SdaExcept(d), level(true, d)) << "step " << step << " driver " << d;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Waveform analysis
 // ---------------------------------------------------------------------------
@@ -85,7 +139,8 @@ TEST(Waveform, AsciiRendering) {
 // RtlModule handshake between two generated FSMs
 // ---------------------------------------------------------------------------
 
-TEST(RtlModule, TwoModulesHandshakeOverWires) {
+// A sends two requests and halts; B answers each with twice its value.
+std::unique_ptr<ir::Compilation> CompilePingPong() {
   DiagnosticEngine diag;
   auto comp = ir::Compile(
       "layer A; layer B; interface <A, B> { => { i32 v; }, <= { i32 r; } };",
@@ -105,7 +160,32 @@ void B() {
 }
 )esm",
       diag);
-  ASSERT_NE(comp, nullptr) << diag.RenderAll();
+  EXPECT_NE(comp, nullptr) << diag.RenderAll();
+  return comp;
+}
+
+// Records the wires as a peer sees them during Evaluate(), i.e. the values
+// committed at the previous clock edge.
+class WireProbe : public rtl::RtlComponent {
+ public:
+  explicit WireProbe(std::vector<const rtl::HsWire*> wires) : wires_(std::move(wires)) {}
+  void Evaluate() override {
+    seen_.clear();
+    for (const rtl::HsWire* wire : wires_) {
+      seen_.push_back(*wire);
+    }
+  }
+  void Commit() override {}
+  const std::vector<rtl::HsWire>& seen() const { return seen_; }
+
+ private:
+  std::vector<const rtl::HsWire*> wires_;
+  std::vector<rtl::HsWire> seen_;
+};
+
+TEST(RtlModule, TwoModulesHandshakeOverWires) {
+  auto comp = CompilePingPong();
+  ASSERT_NE(comp, nullptr);
 
   rtl::RtlSystem system;
   rtl::RtlModule a(comp->FindModule("A"), "A");
@@ -127,6 +207,109 @@ void B() {
   EXPECT_TRUE(a.halted());
   // The second talk sent 42 down; B is parked waiting for the next request.
   EXPECT_FALSE(b.halted());
+}
+
+// A handshake that waits publishes nothing: Commit() writes a port only in
+// the cycle its flag changes. A sentinel poked into the waiting sender's
+// payload (never sampled, valid is up but nobody is ready) survives every
+// wait cycle, as does a ready flag pulled away under a waiting receiver.
+TEST(RtlModule, WaitingHandshakeLeavesItsWireUntouched) {
+  auto comp = CompilePingPong();
+  ASSERT_NE(comp, nullptr);
+  const esi::ChannelInfo* to_b = comp->system().FindChannel("A", "B");
+  const esi::ChannelInfo* to_a = comp->system().FindChannel("B", "A");
+
+  rtl::RtlSystem system;
+  rtl::RtlModule a(comp->FindModule("A"), "A");
+  rtl::HsWire* down = system.CreateWire(to_b->flat_size);
+  rtl::HsWire* up = system.CreateWire(to_a->flat_size);
+  a.BindPort(a.module().FindPort(to_b, true), down);
+  a.BindPort(a.module().FindPort(to_a, false), up);
+  system.AddComponent(&a);
+  for (int i = 0; i < 20 && !down->valid; ++i) {
+    system.Tick();
+  }
+  ASSERT_TRUE(down->valid);
+  EXPECT_EQ(down->data[0], 21);
+  down->data[0] = -5;
+  const uint64_t busy = a.busy_cycles();
+  const std::vector<int32_t> frame(a.frame().begin(), a.frame().end());
+  for (int i = 0; i < 50; ++i) {
+    system.Tick();
+  }
+  EXPECT_TRUE(down->valid);
+  EXPECT_EQ(down->data[0], -5);
+  EXPECT_EQ(a.busy_cycles(), busy);
+  EXPECT_TRUE(std::equal(frame.begin(), frame.end(), a.frame().begin()));
+
+  // B alone: its receive raises ready once, then waits without a sender.
+  rtl::RtlSystem system_b;
+  rtl::RtlModule b(comp->FindModule("B"), "B");
+  rtl::HsWire* req = system_b.CreateWire(to_b->flat_size);
+  rtl::HsWire* reply = system_b.CreateWire(to_a->flat_size);
+  b.BindPort(b.module().FindPort(to_b, false), req);
+  b.BindPort(b.module().FindPort(to_a, true), reply);
+  system_b.AddComponent(&b);
+  for (int i = 0; i < 20 && !req->ready; ++i) {
+    system_b.Tick();
+  }
+  ASSERT_TRUE(req->ready);
+  req->ready = false;
+  const rtl::HsWire reply_before = *reply;
+  for (int i = 0; i < 50; ++i) {
+    system_b.Tick();
+  }
+  EXPECT_FALSE(req->ready);
+  EXPECT_EQ(reply->valid, reply_before.valid);
+  EXPECT_EQ(reply->data, reply_before.data);
+}
+
+// After a mid-handshake Reset() plus RtlSystem::ResetWires(), a peer sampling
+// the first post-reset edge sees deasserted flags and a zero payload, and the
+// pair then replays the exchange from the start.
+TEST(RtlModule, ResetShowsDeassertedWiresOnTheFirstEdge) {
+  auto comp = CompilePingPong();
+  ASSERT_NE(comp, nullptr);
+  const esi::ChannelInfo* to_b = comp->system().FindChannel("A", "B");
+  const esi::ChannelInfo* to_a = comp->system().FindChannel("B", "A");
+
+  rtl::RtlSystem system;
+  rtl::RtlModule a(comp->FindModule("A"), "A");
+  rtl::RtlModule b(comp->FindModule("B"), "B");
+  rtl::HsWire* down = system.CreateWire(to_b->flat_size);
+  rtl::HsWire* up = system.CreateWire(to_a->flat_size);
+  a.BindPort(a.module().FindPort(to_b, true), down);
+  a.BindPort(a.module().FindPort(to_a, false), up);
+  b.BindPort(b.module().FindPort(to_b, false), down);
+  b.BindPort(b.module().FindPort(to_a, true), up);
+  // The probe evaluates first, so it sees exactly what the last edge left.
+  WireProbe probe({down, up});
+  system.AddComponent(&probe);
+  system.AddComponent(&a);
+  system.AddComponent(&b);
+
+  // Run until B's reply (42) is on the wire, mid-handshake.
+  for (int i = 0; i < 50 && !(up->valid && up->data[0] == 42); ++i) {
+    system.Tick();
+  }
+  ASSERT_TRUE(up->valid);
+  ASSERT_EQ(up->data[0], 42);
+
+  a.Reset();
+  b.Reset();
+  system.ResetWires();
+  system.Tick();
+  ASSERT_EQ(probe.seen().size(), 2u);
+  for (const rtl::HsWire& wire : probe.seen()) {
+    EXPECT_FALSE(wire.valid);
+    EXPECT_FALSE(wire.ready);
+    EXPECT_TRUE(std::all_of(wire.data.begin(), wire.data.end(), [](int32_t w) { return w == 0; }));
+  }
+  for (int i = 0; i < 200 && !a.halted(); ++i) {
+    system.Tick();
+  }
+  EXPECT_TRUE(a.halted());
+  EXPECT_EQ(down->data[0], 42);
 }
 
 // ---------------------------------------------------------------------------
