@@ -1,13 +1,14 @@
 #include "src/check/checker.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <chrono>
 #include <memory>
-#include <unordered_set>
 
 #include "src/support/check.h"
 
+#include "src/check/forced_run.h"
 #include "src/check/ir_process.h"
 #include "src/check/parallel.h"
 #include "src/check/state_codec.h"
@@ -18,10 +19,113 @@ namespace efeu::check {
 
 namespace {
 
-struct StateHash {
-  size_t operator()(const std::vector<int32_t>& state) const {
-    return static_cast<size_t>(HashWords(state));
+struct Frame {
+  std::vector<int32_t> key;
+  uint64_t hash = 0;  // HashWords(key).
+  std::vector<CheckedSystem::Transition> transitions;
+  size_t next = 0;
+  // Progress transitions taken on the stack up to and including this frame.
+  uint64_t progress_count = 0;
+  // >= 0: partial-order reduction is active and only transitions[ample] is
+  // explored (`next` then just counts 0 -> 1). Reset to -1 with next = 0
+  // when the cycle proviso or progress visibility forces full expansion.
+  int ample = -1;
+  // Index of the edge this frame most recently descended through (for
+  // counterexample traces).
+  int taken = -1;
+  // Forced-run transitions walked inline between the parent's `taken` edge
+  // and this frame's state (see kPorChainSampleMask).
+  std::vector<CheckedSystem::Transition> chain;
+};
+
+// Index from state key to the depth of the DFS-stack frame holding it. A
+// slot holds only the key's hash and the depth; keys are compared against
+// the frames themselves, so pushing a frame copies no key. Map semantics:
+// inserting a key already present moves it to the new depth, and erasing a
+// key removes it whatever depth it points at. Linear probing with
+// backward-shift deletion, so no tombstones build up.
+class StackIndex {
+ public:
+  explicit StackIndex(const std::vector<Frame>& frames) : frames_(frames), slots_(64) {}
+
+  // Depth of the frame holding `key`, or -1.
+  int Find(uint64_t hash, std::span<const int32_t> key) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask; slots_[i].depth >= 0; i = (i + 1) & mask) {
+      if (Holds(slots_[i], hash, key)) {
+        return slots_[i].depth;
+      }
+    }
+    return -1;
   }
+
+  void Insert(uint64_t hash, std::span<const int32_t> key, int depth) {
+    if ((count_ + 1) * 2 > slots_.size()) {
+      Grow();
+    }
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    for (; slots_[i].depth >= 0; i = (i + 1) & mask) {
+      if (Holds(slots_[i], hash, key)) {
+        slots_[i].depth = depth;
+        return;
+      }
+    }
+    slots_[i] = Slot{hash, depth};
+    ++count_;
+  }
+
+  void Erase(uint64_t hash, std::span<const int32_t> key) {
+    const size_t mask = slots_.size() - 1;
+    size_t hole = hash & mask;
+    for (; !Holds(slots_[hole], hash, key); hole = (hole + 1) & mask) {
+      if (slots_[hole].depth < 0) {
+        return;
+      }
+    }
+    // Pull each later entry of the probe run back into the hole unless its
+    // home slot lies cyclically after the hole.
+    for (size_t j = (hole + 1) & mask; slots_[j].depth >= 0; j = (j + 1) & mask) {
+      size_t home = slots_[j].hash & mask;
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].depth = -1;
+    --count_;
+  }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    int depth = -1;  // -1 marks an empty slot.
+  };
+
+  bool Holds(const Slot& slot, uint64_t hash, std::span<const int32_t> key) const {
+    return slot.depth >= 0 && slot.hash == hash &&
+           std::ranges::equal(frames_[static_cast<size_t>(slot.depth)].key, key);
+  }
+
+  void Grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.depth < 0) {
+        continue;
+      }
+      size_t i = slot.hash & mask;
+      while (slots_[i].depth >= 0) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = slot;
+    }
+  }
+
+  const std::vector<Frame>& frames_;
+  std::vector<Slot> slots_;
+  size_t count_ = 0;
 };
 
 }  // namespace
@@ -104,14 +208,6 @@ std::unique_ptr<CheckedSystem> CheckedSystem::Clone() const {
   return clone;
 }
 
-int CheckedSystem::TotalSnapshotSize() const {
-  int total = 0;
-  for (const Entry& entry : entries_) {
-    total += entry.process->SnapshotSize();
-  }
-  return total;
-}
-
 std::vector<int> CheckedSystem::SnapshotSizes() const {
   std::vector<int> sizes;
   sizes.reserve(entries_.size());
@@ -119,17 +215,6 @@ std::vector<int> CheckedSystem::SnapshotSizes() const {
     sizes.push_back(entry.process->SnapshotSize());
   }
   return sizes;
-}
-
-std::vector<int32_t> CheckedSystem::SnapshotAll() const {
-  std::vector<int32_t> state(TotalSnapshotSize());
-  int offset = 0;
-  for (const Entry& entry : entries_) {
-    int size = entry.process->SnapshotSize();
-    entry.process->Snapshot(std::span<int32_t>(state).subspan(offset, size));
-    offset += size;
-  }
-  return state;
 }
 
 void CheckedSystem::RestoreAll(const std::vector<int32_t>& state) {
@@ -168,8 +253,9 @@ bool CheckedSystem::Closure(Violation* violation, bool* progress) {
   return true;
 }
 
-std::vector<CheckedSystem::Transition> CheckedSystem::EnabledTransitions() const {
-  std::vector<Transition> transitions;
+void CheckedSystem::EnabledTransitions(std::vector<Transition>* out) const {
+  std::vector<Transition>& transitions = *out;
+  transitions.clear();
   for (size_t p = 0; p < entries_.size(); ++p) {
     const Process& process = *entries_[p].process;
     if (process.state() == vm::RunState::kBlockedSend) {
@@ -196,7 +282,6 @@ std::vector<CheckedSystem::Transition> CheckedSystem::EnabledTransitions() const
       }
     }
   }
-  return transitions;
 }
 
 void CheckedSystem::Apply(const Transition& t) {
@@ -332,51 +417,30 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
   }
   StateCodec codec(*this, components.get());
 
-  struct Frame {
-    std::vector<int32_t> key;
-    std::vector<Transition> transitions;
-    size_t next = 0;
-    // Progress transitions taken on the stack up to and including this frame.
-    uint64_t progress_count = 0;
-    // >= 0: partial-order reduction is active and only transitions[ample] is
-    // explored (`next` then just counts 0 -> 1). Reset to -1 with next = 0
-    // when the cycle proviso or progress visibility forces full expansion.
-    int ample = -1;
-    // Index of the edge this frame most recently descended through (for
-    // counterexample traces).
-    int taken = -1;
-    // Descriptions of the forced-run transitions walked inline between the
-    // parent's `taken` edge and this frame's state (see kPorChainSampleMask).
-    std::vector<std::string> chain;
-  };
+  // Frames [0, depth) are the DFS stack. Frames past it keep their buffers
+  // and are refilled by later pushes, so a DFS step allocates nothing once
+  // the stack has been this deep before.
+  std::vector<Frame> frames;
+  size_t depth = 0;
 
-  std::vector<Frame> stack;
-
-  // Builds the counterexample trace from the DFS stack plus the transition
-  // currently being applied.
-  auto make_trace = [&](const Transition* current) {
-    std::vector<std::string> trace;
-    for (size_t i = 0; i + 1 < stack.size(); ++i) {
-      const Frame& frame = stack[i];
-      assert(frame.taken >= 0);
-      trace.push_back(frame.transitions[static_cast<size_t>(frame.taken)].Describe(*this));
-      const Frame& child = stack[i + 1];
-      trace.insert(trace.end(), child.chain.begin(), child.chain.end());
-    }
-    if (!stack.empty() && current != nullptr) {
-      trace.push_back(current->Describe(*this));
-    }
-    return trace;
-  };
-
+  // Builds the counterexample trace from the DFS stack, plus the transition
+  // currently being applied and the forced run walked after it.
   auto report = [&](ViolationKind kind, std::string message, const Transition* current,
-                    const std::vector<std::string>* chain = nullptr) {
+                    const std::vector<Transition>* chain = nullptr) {
     Violation v;
     v.kind = kind;
     v.message = std::move(message);
-    v.trace = make_trace(current);
+    for (size_t i = 0; i + 1 < depth; ++i) {
+      const Frame& frame = frames[i];
+      assert(frame.taken >= 0);
+      v.trace.push_back(frame.transitions[static_cast<size_t>(frame.taken)].Describe(*this));
+      DescribePath(*this, frames[i + 1].chain, &v.trace);
+    }
+    if (depth > 0 && current != nullptr) {
+      v.trace.push_back(current->Describe(*this));
+    }
     if (chain != nullptr) {
-      v.trace.insert(v.trace.end(), chain->begin(), chain->end());
+      DescribePath(*this, *chain, &v.trace);
     }
     result.violation = std::move(v);
   };
@@ -405,25 +469,30 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
   table_options.fingerprint_only = options.fingerprint_only;
   table_options.track_progress = options.check_livelock;
   ShardedStateTable visited(table_options);
-  std::unordered_map<std::vector<int32_t>, int, StateHash> on_stack;
+  StackIndex on_stack(frames);
+  ForcedRunWalker walker(*this, codec, visited);
 
-  Frame initial;
-  codec.EncodeFull(&initial.key);
-  initial.transitions = EnabledTransitions();
-  visited.ClaimHashed(HashWords(initial.key), initial.key, 0);
-  on_stack[initial.key] = 0;
+  frames.emplace_back();
+  {
+    Frame& initial = frames[0];
+    codec.EncodeFull(&initial.key);
+    initial.hash = HashWords(initial.key);
+    EnabledTransitions(&initial.transitions);
+    visited.ClaimHashed(initial.hash, initial.key, 0);
+    on_stack.Insert(initial.hash, initial.key, 0);
 
-  if (initial.transitions.empty() && options.check_deadlock && !AllAtValidEnd()) {
-    report(ViolationKind::kInvalidEndState, "invalid end state: " + DescribeBlockedProcesses(),
-           nullptr);
-    result.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-    return result;
+    if (initial.transitions.empty() && options.check_deadlock && !AllAtValidEnd()) {
+      report(ViolationKind::kInvalidEndState, "invalid end state: " + DescribeBlockedProcesses(),
+             nullptr);
+      result.seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
+      return result;
+    }
+    if (options.por) {
+      initial.ample = PickAmple(initial.transitions, options.check_livelock);
+    }
   }
-  if (options.por) {
-    initial.ample = PickAmple(initial.transitions, options.check_livelock);
-  }
-  stack.push_back(std::move(initial));
+  depth = 1;
 
   auto out_of_budget = [&]() {
     if (options.max_states != 0 && visited.size() >= options.max_states) {
@@ -446,23 +515,26 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
   // copied when the child is actually pushed.
   std::vector<int32_t> next_key;
 
-  while (!stack.empty() && !result.violation.has_value()) {
-    Frame& frame = stack.back();
+  while (depth > 0 && !result.violation.has_value()) {
+    if (frames.size() == depth) {
+      frames.emplace_back();  // Before taking references into `frames`.
+    }
+    Frame& frame = frames[depth - 1];
     bool frame_done =
         frame.ample >= 0 ? frame.next > 0 : frame.next >= frame.transitions.size();
     if (frame_done) {
       if (frame.ample >= 0) {
         ++result.por_reduced_states;
       }
-      on_stack.erase(frame.key);
-      stack.pop_back();
+      on_stack.Erase(frame.hash, frame.key);
+      --depth;
       continue;
     }
     if (out_of_budget()) {
       result.budget_exhausted = true;
       break;
     }
-    if (static_cast<int>(stack.size()) > options.max_depth) {
+    if (static_cast<int>(depth) > options.max_depth) {
       // Depth prune. The budget flag means "a reachable subtree was actually
       // skipped", so probe the frame's successors: only an unvisited one (or
       // a violating closure we are not reporting) marks the run incomplete.
@@ -488,14 +560,13 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
           }
         }
       }
-      on_stack.erase(frame.key);
-      stack.pop_back();
+      on_stack.Erase(frame.hash, frame.key);
+      --depth;
       continue;
     }
     // Pruned frames above are not counted: with depth pruning active,
     // max_depth_reached never exceeds max_depth.
-    result.max_depth_reached =
-        std::max(result.max_depth_reached, static_cast<int>(stack.size()));
+    result.max_depth_reached = std::max(result.max_depth_reached, static_cast<int>(depth));
 
     size_t index = frame.ample >= 0 ? static_cast<size_t>(frame.ample) : frame.next;
     frame.taken = static_cast<int>(index);
@@ -516,15 +587,15 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
     codec.EncodeStep(&next_key);
     uint64_t next_hash = HashWords(next_key);
 
-    auto stack_it = on_stack.end();
+    int stack_depth = -1;
     if (options.check_livelock || frame.ample >= 0) {
-      stack_it = on_stack.find(next_key);
+      stack_depth = on_stack.Find(next_hash, next_key);
     }
 
     // Non-progress cycle: a back edge to an on-stack state with no progress
     // transition anywhere along the cycle.
-    if (options.check_livelock && stack_it != on_stack.end()) {
-      uint64_t progress_at_entry = stack[static_cast<size_t>(stack_it->second)].progress_count;
+    if (options.check_livelock && stack_depth >= 0) {
+      uint64_t progress_at_entry = frames[static_cast<size_t>(stack_depth)].progress_count;
       uint64_t progress_now = parent_progress + (step_progress ? 1 : 0);
       if (progress_now == progress_at_entry) {
         report(ViolationKind::kNonProgressCycle,
@@ -539,7 +610,7 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
     // cycle (otherwise the postponed transitions could be ignored forever
     // around that cycle), or when it dynamically passed a progress label the
     // static lookahead missed.
-    if (frame.ample >= 0 && (stack_it != on_stack.end() || step_progress)) {
+    if (frame.ample >= 0 && (stack_depth >= 0 || step_progress)) {
       frame.ample = -1;
       frame.next = 0;
     }
@@ -550,9 +621,13 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
       continue;  // Already explored (at this progress credit or lower).
     }
 
-    Frame child;
-    child.transitions = EnabledTransitions();
+    Frame& child = frames[depth];
+    EnabledTransitions(&child.transitions);
     child.progress_count = next_progress;
+    child.next = 0;
+    child.ample = -1;
+    child.taken = -1;
+    child.chain.clear();
 
     // Forced-run compression (see kPorChainSampleMask in checker.h): walk a
     // run of singleton-transition states inline, closure-checking each one,
@@ -562,52 +637,24 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
     // dedup-free tree search (no table to sample into).
     if (options.por && !options.check_livelock && !options.disable_state_dedup &&
         child.transitions.size() == 1) {
-      std::unordered_set<std::vector<int32_t>, StateHash> walk_seen;
-      bool abandoned = false;
-      bool halt = false;
-      while (child.transitions.size() == 1) {
-        const Transition forced = child.transitions[0];
-        codec.NoteStep(forced);
-        Apply(forced);
-        ++result.transitions;
-        child.chain.push_back(forced.Describe(*this));
-        bool chain_progress = false;
-        if (!Closure(&violation, &chain_progress)) {
-          report(violation.kind, violation.message, &t, &child.chain);
-          halt = true;
-          break;
-        }
-        codec.EncodeStep(&next_key);
-        next_hash = HashWords(next_key);
-        if (chain_progress) {
-          ++child.progress_count;
-        }
-        child.transitions = EnabledTransitions();
-        if (child.transitions.size() != 1) {
-          break;  // Landing state (branch point or end): claimed below.
-        }
-        if ((HashWords(SnapshotAll()) & kPorChainSampleMask) == 0) {
-          if (!visited.ClaimHashed(next_hash, next_key, child.progress_count)) {
-            abandoned = true;  // Sampled run state already stored: the rest
-            break;             // of the run was (or is being) explored.
-          }
-        } else {
-          if (!walk_seen.insert(next_key).second) {
-            abandoned = true;  // Unsampled cycle, now fully traversed once.
-            break;
-          }
-          ++result.por_reduced_states;
-        }
-        if (out_of_budget()) {
-          result.budget_exhausted = true;
-          halt = true;
-          break;
-        }
-      }
-      if (halt) {
+      ForcedRunWalker::End end = walker.Walk(
+          &next_key, &next_hash, &child.transitions, &child.chain, &violation,
+          [&] { ++result.transitions; }, [&] { ++result.por_reduced_states; },
+          [&] {
+            if (!out_of_budget()) {
+              return false;
+            }
+            result.budget_exhausted = true;
+            return true;
+          });
+      if (end == ForcedRunWalker::End::kViolated) {
+        report(violation.kind, violation.message, &t, &child.chain);
         break;
       }
-      if (abandoned) {
+      if (end == ForcedRunWalker::End::kStopped) {
+        break;
+      }
+      if (end == ForcedRunWalker::End::kAbandoned) {
         continue;
       }
       // Claim the landing state like any other fresh child.
@@ -629,8 +676,9 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
       child.ample = PickAmple(child.transitions, options.check_livelock);
     }
     child.key = next_key;
-    on_stack[child.key] = static_cast<int>(stack.size());
-    stack.push_back(std::move(child));
+    child.hash = next_hash;
+    on_stack.Insert(child.hash, child.key, static_cast<int>(depth));
+    ++depth;
   }
 
   result.states_stored = visited.size();

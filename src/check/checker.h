@@ -23,7 +23,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/check/process.h"
@@ -146,8 +145,8 @@ class CheckedSystem {
   Process& process(int id) { return *entries_[id].process; }
   const Process& process(int id) const { return *entries_[id].process; }
   int process_count() const { return static_cast<int>(entries_.size()); }
-  // Per-process snapshot word counts, in process-id order (the layout both
-  // SnapshotAll and the collapse codec use).
+  // Per-process snapshot word counts, in process-id order (the layout of
+  // RestoreAll and of the codec's full snapshot).
   std::vector<int> SnapshotSizes() const;
 
   // Structural deep copy: every process cloned in its reset state, all
@@ -171,13 +170,16 @@ class CheckedSystem {
 
   // Resets every process to its initial state.
   void ResetAll();
-  std::vector<int32_t> SnapshotAll() const;
+  // Restores every process from a full snapshot (per-process snapshots in
+  // process-id order).
   void RestoreAll(const std::vector<int32_t>& state);
   // Runs every runnable process to its next blocking point. Returns false on
   // an assertion failure or runtime error (violation filled in); sets
   // *progress when a progress label was passed.
   bool Closure(Violation* violation, bool* progress);
-  std::vector<Transition> EnabledTransitions() const;
+  // Replaces *out with the transitions enabled in the live state (a reused
+  // caller buffer).
+  void EnabledTransitions(std::vector<Transition>* out) const;
   void Apply(const Transition& t);
   bool AllAtValidEnd() const;
   std::string DescribeBlockedProcesses() const;
@@ -202,7 +204,6 @@ class CheckedSystem {
     std::vector<std::optional<vm::PortRef>> links;
   };
 
-  int TotalSnapshotSize() const;
   // True when `t` is a transfer whose channel has exactly one connected link.
   bool TransferOnExclusiveChannel(const Transition& t) const;
 

@@ -7,8 +7,8 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 
+#include "src/check/forced_run.h"
 #include "src/check/state_codec.h"
 #include "src/support/hash.h"
 #include "src/support/state_table.h"
@@ -17,19 +17,15 @@ namespace efeu::check {
 
 namespace {
 
-struct StateHash {
-  size_t operator()(const std::vector<int32_t>& state) const {
-    return static_cast<size_t>(HashWords(state));
-  }
-};
+using Transition = CheckedSystem::Transition;
 
 struct WorkItem {
   // Post-closure state key (see StateCodec), already claimed in the shared
   // table.
   std::vector<int32_t> state;
-  // Transition descriptions from the initial state to `state`; doubles as the
-  // item's depth (transitions taken so far).
-  std::vector<std::string> trace;
+  // Transitions from the initial state to `state`, described only if a
+  // counterexample is built; doubles as the item's depth.
+  std::vector<Transition> path;
 };
 
 class Engine {
@@ -57,12 +53,13 @@ class Engine {
   bool Seed(CheckedSystem& system, CheckResult* result);
 
   void Worker(CheckedSystem& system);
-  void Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& item);
+  void Explore(CheckedSystem& system, StateCodec& codec, ForcedRunWalker& walker,
+               const WorkItem& item);
 
   // Depth-prune probe: sets the exhausted flag only if one of the remaining
   // successors of `key` is actually unvisited (or its closure violates).
   void ProbeSkipped(CheckedSystem& system, StateCodec& codec, const std::vector<int32_t>& key,
-                    const std::vector<CheckedSystem::Transition>& transitions, size_t begin);
+                    const std::vector<Transition>& transitions, size_t begin);
 
   std::optional<WorkItem> Pop();
   void PushWork(WorkItem item);
@@ -181,8 +178,7 @@ bool Engine::OutOfBudget() {
 
 void Engine::ProbeSkipped(CheckedSystem& system, StateCodec& codec,
                           const std::vector<int32_t>& key,
-                          const std::vector<CheckedSystem::Transition>& transitions,
-                          size_t begin) {
+                          const std::vector<Transition>& transitions, size_t begin) {
   if (exhausted_.load(std::memory_order_relaxed)) {
     return;
   }
@@ -207,6 +203,7 @@ void Engine::ProbeSkipped(CheckedSystem& system, StateCodec& codec,
 
 bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
   StateCodec codec(system, collapse_.get());
+  ForcedRunWalker walker(system, codec, table_);
   system.ResetAll();
   Violation violation;
   bool progress = false;
@@ -217,7 +214,9 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
   std::vector<int32_t> init;
   codec.EncodeFull(&init);
   table_.ClaimHashed(HashWords(init), init);
-  if (system.EnabledTransitions().empty()) {
+  std::vector<Transition> transitions;
+  system.EnabledTransitions(&transitions);
+  if (transitions.empty()) {
     if (options_.base.check_deadlock && !system.AllAtValidEnd()) {
       Violation v;
       v.kind = ViolationKind::kInvalidEndState;
@@ -233,21 +232,22 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
   size_t target = static_cast<size_t>(seed_factor) * static_cast<size_t>(workers_);
 
   std::vector<int32_t> next_key;
+  std::vector<Transition> next_transitions;
   while (!frontier.empty() && frontier.size() < target) {
     if (OutOfBudget()) {
       return false;
     }
     WorkItem item = std::move(frontier.front());
     frontier.pop_front();
-    int depth = static_cast<int>(item.trace.size()) + 1;
+    int depth = static_cast<int>(item.path.size()) + 1;
     codec.Restore(item.state);
-    std::vector<CheckedSystem::Transition> transitions = system.EnabledTransitions();
+    system.EnabledTransitions(&transitions);
     if (depth > options_.base.max_depth) {
       ProbeSkipped(system, codec, item.state, transitions, 0);
       continue;
     }
     NoteDepth(depth);
-    for (const CheckedSystem::Transition& t : transitions) {
+    for (const Transition& t : transitions) {
       codec.Restore(item.state);
       codec.NoteStep(t);
       system.Apply(t);
@@ -255,18 +255,19 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
       Violation step_violation;
       bool step_progress = false;
       if (!system.Closure(&step_violation, &step_progress)) {
-        step_violation.trace = item.trace;
+        DescribePath(system, item.path, &step_violation.trace);
         step_violation.trace.push_back(t.Describe(system));
         result->violation = std::move(step_violation);
         return false;
       }
       codec.EncodeStep(&next_key);
-      if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+      uint64_t next_hash = HashWords(next_key);
+      if (!table_.ClaimHashed(next_hash, next_key)) {
         continue;
       }
-      std::vector<std::string> trace = item.trace;
-      trace.push_back(t.Describe(system));
-      std::vector<CheckedSystem::Transition> next_transitions = system.EnabledTransitions();
+      std::vector<Transition> path = item.path;
+      path.push_back(t);
+      system.EnabledTransitions(&next_transitions);
 
       // Forced-run compression during seeding too, with the same sampling
       // rule as the DFS engines: the seed phase must store the same states
@@ -274,47 +275,21 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
       // Seed states are fully expanded, and run states are fully expanded by
       // construction, so the proviso argument is unchanged.
       if (options_.base.por && next_transitions.size() == 1) {
-        std::unordered_set<std::vector<int32_t>, StateHash> walk_seen;
-        bool abandoned = false;
-        while (next_transitions.size() == 1) {
-          const CheckedSystem::Transition forced = next_transitions[0];
-          codec.NoteStep(forced);
-          system.Apply(forced);
-          transitions_.fetch_add(1, std::memory_order_relaxed);
-          Violation chain_violation;
-          bool chain_progress = false;
-          if (!system.Closure(&chain_violation, &chain_progress)) {
-            trace.push_back(forced.Describe(system));
-            chain_violation.trace = std::move(trace);
-            result->violation = std::move(chain_violation);
-            return false;
-          }
-          trace.push_back(forced.Describe(system));
-          codec.EncodeStep(&next_key);
-          next_transitions = system.EnabledTransitions();
-          if (next_transitions.size() != 1) {
-            break;  // Landing state (branch point or end): claimed below.
-          }
-          if ((HashWords(system.SnapshotAll()) & kPorChainSampleMask) == 0) {
-            if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
-              abandoned = true;  // Sampled run state already stored.
-              break;
-            }
-          } else {
-            if (!walk_seen.insert(next_key).second) {
-              abandoned = true;  // Unsampled cycle, now fully traversed once.
-              break;
-            }
-            por_reduced_.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (OutOfBudget()) {
-            return false;
-          }
+        ForcedRunWalker::End end = walker.Walk(
+            &next_key, &next_hash, &next_transitions, &path, &step_violation,
+            [&] { transitions_.fetch_add(1, std::memory_order_relaxed); },
+            [&] { por_reduced_.fetch_add(1, std::memory_order_relaxed); },
+            [&] { return OutOfBudget(); });
+        if (end == ForcedRunWalker::End::kViolated) {
+          DescribePath(system, path, &step_violation.trace);
+          result->violation = std::move(step_violation);
+          return false;
         }
-        if (abandoned) {
-          continue;
+        if (end == ForcedRunWalker::End::kStopped) {
+          return false;
         }
-        if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+        if (end == ForcedRunWalker::End::kAbandoned ||
+            !table_.ClaimHashed(next_hash, next_key)) {
           continue;
         }
       }
@@ -324,13 +299,13 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
           Violation v;
           v.kind = ViolationKind::kInvalidEndState;
           v.message = "invalid end state: " + system.DescribeBlockedProcesses();
-          v.trace = std::move(trace);
+          DescribePath(system, path, &v.trace);
           result->violation = std::move(v);
           return false;
         }
         continue;
       }
-      frontier.push_back(WorkItem{next_key, std::move(trace)});
+      frontier.push_back(WorkItem{next_key, std::move(path)});
     }
   }
 
@@ -344,88 +319,100 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
 
 void Engine::Worker(CheckedSystem& system) {
   StateCodec codec(system, collapse_.get());
+  ForcedRunWalker walker(system, codec, table_);
   for (;;) {
     std::optional<WorkItem> item = Pop();
     if (!item.has_value()) {
       return;
     }
-    Explore(system, codec, *item);
+    Explore(system, codec, walker, *item);
   }
 }
 
-void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& item) {
+void Engine::Explore(CheckedSystem& system, StateCodec& codec, ForcedRunWalker& walker,
+                     const WorkItem& item) {
   const bool por = options_.base.por;
   struct Frame {
     std::vector<int32_t> key;
-    std::vector<CheckedSystem::Transition> transitions;
+    std::vector<Transition> transitions;
     size_t next = 0;
     // >= 0: only transitions[ample] is explored (partial-order reduction);
     // reset to -1 with next = 0 when the ample successor turns out to be
     // already claimed (the parallel cycle proviso, conservative: any cycle's
     // closing edge necessarily targets an already-claimed state).
     int ample = -1;
-    // Description of the transition that led into this frame (empty for the
-    // item's root frame, whose path is item.trace).
-    std::string desc;
-    // Descriptions of the forced-run transitions walked inline between that
-    // edge and this frame's state (see kPorChainSampleMask in checker.h).
-    std::vector<std::string> chain;
+    // The transition that led into this frame (unused for the item's root
+    // frame, whose path is item.path).
+    Transition in;
+    // The forced-run transitions walked inline between that edge and this
+    // frame's state (see kPorChainSampleMask in checker.h).
+    std::vector<Transition> chain;
   };
-  std::vector<Frame> stack;
+  // Frames [0, depth) are the DFS stack; frames past it keep their buffers
+  // for later pushes.
+  std::vector<Frame> frames(1);
+  size_t depth = 1;
 
-  auto build_trace = [&](const CheckedSystem::Transition* current) {
-    std::vector<std::string> trace = item.trace;
-    for (size_t i = 1; i < stack.size(); ++i) {
-      trace.push_back(stack[i].desc);
-      trace.insert(trace.end(), stack[i].chain.begin(), stack[i].chain.end());
+  // The path from the initial state through the stack, then `current` and
+  // the forced run walked after it.
+  auto path_to = [&](const Transition& current, const std::vector<Transition>& chain) {
+    std::vector<Transition> path = item.path;
+    for (size_t i = 1; i < depth; ++i) {
+      path.push_back(frames[i].in);
+      path.insert(path.end(), frames[i].chain.begin(), frames[i].chain.end());
     }
-    if (current != nullptr) {
-      trace.push_back(current->Describe(system));
-    }
-    return trace;
+    path.push_back(current);
+    path.insert(path.end(), chain.begin(), chain.end());
+    return path;
+  };
+  auto report = [&](Violation violation, const Transition& current,
+                    const std::vector<Transition>& chain) {
+    DescribePath(system, path_to(current, chain), &violation.trace);
+    ReportViolation(std::move(violation));
   };
 
   codec.Restore(item.state);
-  Frame root;
-  root.key = item.state;
-  root.transitions = system.EnabledTransitions();
+  frames[0].key = item.state;
+  system.EnabledTransitions(&frames[0].transitions);
   if (por) {
     // The parallel engine only runs safety passes (no livelock), so progress
     // visibility never constrains the ample choice.
-    root.ample = system.PickAmple(root.transitions, /*livelock_sensitive=*/false);
+    frames[0].ample = system.PickAmple(frames[0].transitions, /*livelock_sensitive=*/false);
   }
-  stack.push_back(std::move(root));
 
   std::vector<int32_t> next_key;
-  while (!stack.empty()) {
+  while (depth > 0) {
     if (ShouldStop()) {
       return;
     }
-    Frame& frame = stack.back();
+    if (frames.size() == depth) {
+      frames.emplace_back();  // Before taking references into `frames`.
+    }
+    Frame& frame = frames[depth - 1];
     bool frame_done =
         frame.ample >= 0 ? frame.next > 0 : frame.next >= frame.transitions.size();
     if (frame_done) {
       if (frame.ample >= 0) {
         por_reduced_.fetch_add(1, std::memory_order_relaxed);
       }
-      stack.pop_back();
+      --depth;
       continue;
     }
     if (OutOfBudget()) {
       return;
     }
-    int depth = static_cast<int>(item.trace.size() + stack.size());
-    if (depth > options_.base.max_depth) {
+    int path_depth = static_cast<int>(item.path.size() + depth);
+    if (path_depth > options_.base.max_depth) {
       ProbeSkipped(system, codec, frame.key, frame.transitions,
                    frame.ample >= 0 ? 0 : frame.next);
-      stack.pop_back();
+      --depth;
       continue;
     }
-    NoteDepth(depth);
+    NoteDepth(path_depth);
 
     size_t index = frame.ample >= 0 ? static_cast<size_t>(frame.ample) : frame.next;
     ++frame.next;
-    const CheckedSystem::Transition t = frame.transitions[index];
+    const Transition t = frame.transitions[index];
     codec.Restore(frame.key);
     codec.NoteStep(t);
     system.Apply(t);
@@ -433,12 +420,12 @@ void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& i
     Violation violation;
     bool progress = false;
     if (!system.Closure(&violation, &progress)) {
-      violation.trace = build_trace(&t);
-      ReportViolation(std::move(violation));
+      report(std::move(violation), t, {});
       return;
     }
     codec.EncodeStep(&next_key);
-    if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+    uint64_t next_hash = HashWords(next_key);
+    if (!table_.ClaimHashed(next_hash, next_key)) {
       // Another worker (or this one) already owns this state. If it was the
       // ample successor, it might close a cycle of reduced states: fall back
       // to the full expansion (cycle proviso).
@@ -448,92 +435,55 @@ void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& i
       }
       continue;
     }
-    std::vector<CheckedSystem::Transition> next_transitions = system.EnabledTransitions();
+    Frame& child = frames[depth];
+    system.EnabledTransitions(&child.transitions);
+    child.chain.clear();
 
     // Forced-run compression, mirroring the sequential engine exactly (same
     // full-state sampling rule, so both engines store identical sets; see
     // kPorChainSampleMask in checker.h). Run states are fully expanded by
     // construction, so no cycle-proviso fallback is needed on a mid-run
     // claim failure.
-    std::vector<std::string> chain;
-    if (por && next_transitions.size() == 1) {
-      std::unordered_set<std::vector<int32_t>, StateHash> walk_seen;
-      bool abandoned = false;
-      while (next_transitions.size() == 1) {
-        const CheckedSystem::Transition forced = next_transitions[0];
-        codec.NoteStep(forced);
-        system.Apply(forced);
-        transitions_.fetch_add(1, std::memory_order_relaxed);
-        chain.push_back(forced.Describe(system));
-        Violation chain_violation;
-        bool chain_progress = false;
-        if (!system.Closure(&chain_violation, &chain_progress)) {
-          chain_violation.trace = build_trace(&t);
-          chain_violation.trace.insert(chain_violation.trace.end(), chain.begin(),
-                                       chain.end());
-          ReportViolation(std::move(chain_violation));
-          return;
-        }
-        codec.EncodeStep(&next_key);
-        next_transitions = system.EnabledTransitions();
-        if (next_transitions.size() != 1) {
-          break;  // Landing state (branch point or end): claimed below.
-        }
-        if ((HashWords(system.SnapshotAll()) & kPorChainSampleMask) == 0) {
-          if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
-            abandoned = true;  // Sampled run state already stored.
-            break;
-          }
-        } else {
-          if (!walk_seen.insert(next_key).second) {
-            abandoned = true;  // Unsampled cycle, now fully traversed once.
-            break;
-          }
-          por_reduced_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (ShouldStop() || OutOfBudget()) {
-          return;
-        }
+    if (por && child.transitions.size() == 1) {
+      ForcedRunWalker::End end = walker.Walk(
+          &next_key, &next_hash, &child.transitions, &child.chain, &violation,
+          [&] { transitions_.fetch_add(1, std::memory_order_relaxed); },
+          [&] { por_reduced_.fetch_add(1, std::memory_order_relaxed); },
+          [&] { return ShouldStop() || OutOfBudget(); });
+      if (end == ForcedRunWalker::End::kViolated) {
+        report(std::move(violation), t, child.chain);
+        return;
       }
-      if (abandoned) {
-        continue;
+      if (end == ForcedRunWalker::End::kStopped) {
+        return;
       }
       // Claim the landing state like any other fresh child.
-      if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+      if (end == ForcedRunWalker::End::kAbandoned ||
+          !table_.ClaimHashed(next_hash, next_key)) {
         continue;
       }
     }
 
-    if (next_transitions.empty()) {
+    if (child.transitions.empty()) {
       if (options_.base.check_deadlock && !system.AllAtValidEnd()) {
         Violation v;
         v.kind = ViolationKind::kInvalidEndState;
         v.message = "invalid end state: " + system.DescribeBlockedProcesses();
-        v.trace = build_trace(&t);
-        v.trace.insert(v.trace.end(), chain.begin(), chain.end());
-        ReportViolation(std::move(v));
+        report(std::move(v), t, child.chain);
         return;
       }
       continue;
     }
     if (queue_hint_.load(std::memory_order_relaxed) < static_cast<size_t>(workers_)) {
       // Other workers look starved: donate this subtree instead of descending.
-      WorkItem donated;
-      donated.trace = build_trace(&t);
-      donated.trace.insert(donated.trace.end(), chain.begin(), chain.end());
-      donated.state = next_key;
-      PushWork(std::move(donated));
+      PushWork(WorkItem{next_key, path_to(t, child.chain)});
       continue;
     }
-    Frame child;
-    child.desc = t.Describe(system);
-    child.chain = std::move(chain);
+    child.in = t;
     child.key = next_key;
-    child.transitions = std::move(next_transitions);
-    if (por) {
-      child.ample = system.PickAmple(child.transitions, /*livelock_sensitive=*/false);
-    }
-    stack.push_back(std::move(child));
+    child.next = 0;
+    child.ample = por ? system.PickAmple(child.transitions, /*livelock_sensitive=*/false) : -1;
+    ++depth;
   }
 }
 

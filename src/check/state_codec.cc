@@ -12,6 +12,7 @@ CollapseTable::CollapseTable(std::vector<int> sizes) {
   for (int size : sizes) {
     auto pp = std::make_unique<PerProcess>();
     pp->size = size;
+    pp->index.resize(kInitialIndexSlots);
     per_process_.push_back(std::move(pp));
   }
 }
@@ -20,11 +21,13 @@ int32_t CollapseTable::Intern(int process, std::span<const int32_t> snapshot) {
   PerProcess& pp = *per_process_[process];
   uint64_t fingerprint = HashWords(snapshot);
   std::lock_guard<std::mutex> lock(pp.mu);
-  std::vector<int32_t>& chain = pp.index[fingerprint];
-  for (int32_t id : chain) {
-    const int32_t* stored = Slot(pp, id);
-    if (std::equal(snapshot.begin(), snapshot.end(), stored)) {
-      return id;
+  size_t mask = pp.index.size() - 1;
+  size_t probe = static_cast<size_t>(fingerprint) & mask;
+  for (; pp.index[probe].id >= 0; probe = (probe + 1) & mask) {
+    const IndexSlot& entry = pp.index[probe];
+    if (entry.fingerprint == fingerprint &&
+        std::equal(snapshot.begin(), snapshot.end(), Slot(pp, entry.id))) {
+      return entry.id;
     }
   }
   int32_t id = pp.count.load(std::memory_order_relaxed);
@@ -42,13 +45,32 @@ int32_t CollapseTable::Intern(int process, std::span<const int32_t> snapshot) {
   int32_t* slot = chunk + (static_cast<size_t>(id) & (PerProcess::kChunkSize - 1)) *
                               static_cast<size_t>(pp.size);
   std::copy(snapshot.begin(), snapshot.end(), slot);
-  chain.push_back(id);
+  pp.index[probe] = IndexSlot{fingerprint, id};
+  if (static_cast<size_t>(id + 1) * 2 > pp.index.size()) {
+    GrowIndex(pp);
+  }
   // Publish after the payload is in place; readers that learned `id` through
   // a synchronized handoff see the filled slot.
   pp.count.store(id + 1, std::memory_order_release);
   payload_bytes_.fetch_add(static_cast<uint64_t>(pp.size) * sizeof(int32_t) + sizeof(int32_t),
                            std::memory_order_relaxed);
   return id;
+}
+
+void CollapseTable::GrowIndex(PerProcess& pp) {
+  std::vector<IndexSlot> old(pp.index.size() * 2);
+  old.swap(pp.index);
+  size_t mask = pp.index.size() - 1;
+  for (const IndexSlot& entry : old) {
+    if (entry.id < 0) {
+      continue;
+    }
+    size_t probe = static_cast<size_t>(entry.fingerprint) & mask;
+    while (pp.index[probe].id >= 0) {
+      probe = (probe + 1) & mask;
+    }
+    pp.index[probe] = entry;
+  }
 }
 
 void CollapseTable::Expand(int process, int32_t id, std::span<int32_t> out) const {
@@ -70,25 +92,28 @@ StateCodec::StateCodec(CheckedSystem& system, CollapseTable* table)
   int process_count = system.process_count();
   sizes_.resize(static_cast<size_t>(process_count));
   offsets_.resize(static_cast<size_t>(process_count));
-  int max_size = 0;
   int total = 0;
   for (int p = 0; p < process_count; ++p) {
     sizes_[static_cast<size_t>(p)] = system.process(p).SnapshotSize();
     offsets_[static_cast<size_t>(p)] = total;
     total += sizes_[static_cast<size_t>(p)];
-    max_size = std::max(max_size, sizes_[static_cast<size_t>(p)]);
   }
   if (table_ != nullptr) {
     key_size_ = process_count;
     current_.assign(static_cast<size_t>(process_count), kDirty);
-    scratch_.resize(static_cast<size_t>(max_size));
+    full_.resize(static_cast<size_t>(total));
   } else {
     key_size_ = total;
   }
 }
 
+std::span<int32_t> StateCodec::FullSlice(size_t process) {
+  return std::span<int32_t>(full_).subspan(static_cast<size_t>(offsets_[process]),
+                                           static_cast<size_t>(sizes_[process]));
+}
+
 void StateCodec::EncodeProcess(int process) {
-  std::span<int32_t> buffer(scratch_.data(), static_cast<size_t>(sizes_[static_cast<size_t>(process)]));
+  std::span<int32_t> buffer = FullSlice(static_cast<size_t>(process));
   system_.process(process).Snapshot(buffer);
   current_[static_cast<size_t>(process)] = table_->Intern(process, buffer);
 }
@@ -141,11 +166,15 @@ void StateCodec::Restore(const std::vector<int32_t>& key) {
     if (current_[p] == key[p]) {
       continue;  // Live process already holds this component.
     }
-    std::span<int32_t> buffer(scratch_.data(), static_cast<size_t>(sizes_[p]));
+    std::span<int32_t> buffer = FullSlice(p);
     table_->Expand(static_cast<int>(p), key[p], buffer);
     system_.process(static_cast<int>(p)).Restore(buffer);
     current_[p] = key[p];
   }
+}
+
+uint64_t StateCodec::FullStateHash(uint64_t key_hash) const {
+  return table_ == nullptr ? key_hash : HashWords(full_);
 }
 
 }  // namespace efeu::check

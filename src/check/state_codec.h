@@ -27,7 +27,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/check/checker.h"
@@ -58,6 +57,11 @@ class CollapseTable {
   uint64_t components() const;
 
  private:
+  struct IndexSlot {
+    uint64_t fingerprint = 0;
+    int32_t id = -1;
+  };
+
   struct PerProcess {
     static constexpr int kChunkShift = 10;
     static constexpr int kChunkSize = 1 << kChunkShift;
@@ -65,14 +69,18 @@ class CollapseTable {
 
     std::mutex mu;
     int size = 0;
-    // fingerprint -> component ids with that fingerprint (collision chain).
-    std::unordered_map<uint64_t, std::vector<int32_t>> index;
+    // Linear-probing {fingerprint, id} array over the payloads, power-of-two
+    // sized and at most half full; id -1 marks an empty slot. Guarded by mu.
+    std::vector<IndexSlot> index;
     std::atomic<int32_t> count{0};
     // Fixed-size top level so readers never race a reallocation; chunk
     // payloads are written before the pointer is release-published.
     std::array<std::atomic<int32_t*>, kMaxChunks> chunks{};
     std::vector<std::unique_ptr<int32_t[]>> owned;  // Guarded by mu.
   };
+
+  static constexpr size_t kInitialIndexSlots = 64;
+  static void GrowIndex(PerProcess& pp);
 
   static const int32_t* Slot(const PerProcess& pp, int32_t id) {
     const int32_t* chunk =
@@ -113,21 +121,29 @@ class StateCodec {
   void EncodeStep(std::vector<int32_t>* key);
   // Restores the live system to `key`.
   void Restore(const std::vector<int32_t>& key);
+  // HashWords of the live system's full snapshot (every process's words in
+  // process-id order) as of the last Encode*: a hash that does not depend
+  // on whether keys are collapsed. In full mode the key is that snapshot,
+  // so the caller's `key_hash` (HashWords of the key) is returned as is.
+  uint64_t FullStateHash(uint64_t key_hash) const;
 
  private:
   static constexpr int32_t kDirty = -1;
 
+  std::span<int32_t> FullSlice(size_t process);
   void EncodeProcess(int process);
 
   CheckedSystem& system_;
   CollapseTable* table_;
   std::vector<int> sizes_;
-  std::vector<int> offsets_;  // Full-mode key layout (SnapshotAll order).
+  std::vector<int> offsets_;  // Full snapshot layout, process-id order.
   int key_size_ = 0;
   // Collapse mode: the component id each live process currently holds, or
   // kDirty when the live process has moved past its last encoding.
   std::vector<int32_t> current_;
-  std::vector<int32_t> scratch_;  // One per-process snapshot scratch buffer.
+  // Collapse mode: the snapshot behind current_[p] at offsets_[p], so
+  // wherever no process is dirty this is the live system's full snapshot.
+  std::vector<int32_t> full_;
 };
 
 }  // namespace efeu::check

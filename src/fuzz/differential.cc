@@ -320,8 +320,9 @@ TargetTrace RunCheckerTarget(const ir::Compilation& compilation, const std::stri
     return trace;
   }
   uint64_t transitions = 0;
+  std::vector<check::CheckedSystem::Transition> enabled;
   while (true) {
-    std::vector<check::CheckedSystem::Transition> enabled = system.EnabledTransitions();
+    system.EnabledTransitions(&enabled);
     if (enabled.empty()) {
       break;
     }

@@ -4,79 +4,120 @@
 
 namespace efeu {
 
+namespace {
+
+constexpr size_t kInitialSlots = 256;
+constexpr size_t kBlockWords = size_t{1} << 14;  // 64 KiB arena blocks.
+// Stands in for the stored state in fingerprint-only slots.
+constexpr int32_t kFingerprintMarker = 0;
+
+// Slot placement uses fingerprint bits above those the shard index consumes.
+size_t Home(uint64_t fingerprint, size_t mask) {
+  return static_cast<size_t>(fingerprint >> 16) & mask;
+}
+
+}  // namespace
+
 ShardedStateTable::ShardedStateTable(const StateTableOptions& options) : options_(options) {
   int shards = options_.num_shards < 1 ? 1 : options_.num_shards;
   shards_.reserve(static_cast<size_t>(shards));
   for (int i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->slots.resize(kInitialSlots);
+  }
+}
+
+size_t ShardedStateTable::Find(const Shard& shard, uint64_t fingerprint,
+                               std::span<const int32_t> state) const {
+  const size_t mask = shard.slots.size() - 1;
+  for (size_t i = Home(fingerprint, mask);; i = (i + 1) & mask) {
+    const Slot& slot = shard.slots[i];
+    if (slot.state == nullptr) {
+      return i;
+    }
+    if (slot.fingerprint != fingerprint) {
+      continue;
+    }
+    if (options_.fingerprint_only ||
+        (static_cast<size_t>(slot.state[0]) == state.size() &&
+         std::equal(state.begin(), state.end(), slot.state + 1))) {
+      return i;
+    }
+  }
+}
+
+const int32_t* ShardedStateTable::Store(Shard& shard, std::span<const int32_t> state) {
+  const size_t need = state.size() + 1;
+  while (shard.block < shard.blocks.size() &&
+         shard.block_words[shard.block] - shard.offset < need) {
+    ++shard.block;
+    shard.offset = 0;
+  }
+  if (shard.block == shard.blocks.size()) {
+    size_t words = std::max(kBlockWords, need);
+    shard.blocks.push_back(std::make_unique<int32_t[]>(words));
+    shard.block_words.push_back(words);
+  }
+  int32_t* stored = shard.blocks[shard.block].get() + shard.offset;
+  shard.offset += need;
+  stored[0] = static_cast<int32_t>(state.size());
+  std::copy(state.begin(), state.end(), stored + 1);
+  return stored;
+}
+
+void ShardedStateTable::Grow(Shard& shard) {
+  std::vector<Slot> old(shard.slots.size() * 2);
+  old.swap(shard.slots);
+  const size_t mask = shard.slots.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.state == nullptr) {
+      continue;
+    }
+    size_t i = Home(slot.fingerprint, mask);
+    while (shard.slots[i].state != nullptr) {
+      i = (i + 1) & mask;
+    }
+    shard.slots[i] = slot;
   }
 }
 
 bool ShardedStateTable::ClaimHashed(uint64_t fingerprint, std::span<const int32_t> state,
                                     uint64_t progress) {
   Shard& shard = shard_for(fingerprint);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  Slot& slot = shard.slots[Find(shard, fingerprint, state)];
+  if (slot.state != nullptr) {
+    if (options_.track_progress && progress < slot.progress) {
+      slot.progress = progress;
+      return true;
+    }
+    return false;
+  }
+  slot.fingerprint = fingerprint;
+  slot.state = options_.fingerprint_only ? &kFingerprintMarker : Store(shard, state);
+  slot.progress = progress;
   uint64_t entry_bytes = options_.fingerprint_only ? 8 : state.size() * sizeof(int32_t);
   if (options_.track_progress) {
     entry_bytes += sizeof(uint64_t);
   }
-  std::lock_guard<std::mutex> lock(shard.mu);
-  uint64_t* stored = nullptr;
-  if (options_.fingerprint_only) {
-    auto [it, is_new] = shard.by_fingerprint.try_emplace(fingerprint, progress);
-    if (!is_new) {
-      stored = &it->second;
-    }
-  } else {
-    std::vector<Entry>& chain = shard.by_state[fingerprint];
-    for (Entry& entry : chain) {
-      if (entry.words.size() == state.size() &&
-          std::equal(entry.words.begin(), entry.words.end(), state.begin())) {
-        stored = &entry.progress;
-        break;
-      }
-    }
-    if (stored == nullptr) {
-      chain.push_back(Entry{std::vector<int32_t>(state.begin(), state.end()), progress});
-    }
+  uint64_t count = shard.count.load(std::memory_order_relaxed) + 1;
+  shard.count.store(count, std::memory_order_relaxed);
+  shard.bytes.fetch_add(entry_bytes, std::memory_order_relaxed);
+  if (count * 2 > shard.slots.size()) {
+    Grow(shard);
   }
-  if (stored == nullptr) {
-    shard.count.fetch_add(1, std::memory_order_relaxed);
-    shard.bytes.fetch_add(entry_bytes, std::memory_order_relaxed);
-    return true;
-  }
-  if (options_.track_progress && progress < *stored) {
-    *stored = progress;
-    return true;
-  }
-  return false;
+  return true;
 }
 
 bool ShardedStateTable::WouldClaimHashed(uint64_t fingerprint, std::span<const int32_t> state,
                                          uint64_t progress) const {
   const Shard& shard = shard_for(fingerprint);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const uint64_t* stored = nullptr;
-  if (options_.fingerprint_only) {
-    auto it = shard.by_fingerprint.find(fingerprint);
-    if (it != shard.by_fingerprint.end()) {
-      stored = &it->second;
-    }
-  } else {
-    auto it = shard.by_state.find(fingerprint);
-    if (it != shard.by_state.end()) {
-      for (const Entry& entry : it->second) {
-        if (entry.words.size() == state.size() &&
-            std::equal(entry.words.begin(), entry.words.end(), state.begin())) {
-          stored = &entry.progress;
-          break;
-        }
-      }
-    }
-  }
-  if (stored == nullptr) {
+  const Slot& slot = shard.slots[Find(shard, fingerprint, state)];
+  if (slot.state == nullptr) {
     return true;
   }
-  return options_.track_progress && progress < *stored;
+  return options_.track_progress && progress < slot.progress;
 }
 
 uint64_t ShardedStateTable::size() const {
@@ -98,8 +139,9 @@ uint64_t ShardedStateTable::payload_bytes() const {
 void ShardedStateTable::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->by_fingerprint.clear();
-    shard->by_state.clear();
+    shard->slots.assign(kInitialSlots, Slot{});
+    shard->block = 0;
+    shard->offset = 0;
     shard->count.store(0, std::memory_order_relaxed);
     shard->bytes.store(0, std::memory_order_relaxed);
   }

@@ -1,5 +1,5 @@
 // Concurrency-safe visited-state table for the model checker: N-way striped
-// buckets keyed by the 64-bit state fingerprint, so worker threads contend
+// shards keyed by the 64-bit state fingerprint, so worker threads contend
 // only when their states land in the same stripe. Two storage modes:
 //
 //  - full (default): the complete state vector is stored and compared, so
@@ -10,11 +10,18 @@
 //    false-negative probability of roughly stored_states^2 / 2^65 in
 //    exchange for a fixed 8 bytes per state.
 //
+// Storage is flat. Each shard is one power-of-two, linear-probing slot
+// array of {fingerprint, stored state, progress credit}; in full mode the
+// state points into the shard's block arena, where each stored vector is
+// laid out as [size][words...]. Arena blocks never move, so growing the
+// slot array rehashes only the 24-byte slots, never the state words, and
+// no stored state costs a heap allocation of its own.
+//
 // Each state vector is hashed exactly once: callers that already computed
 // HashWords (the checker DFS needs it anyway) pass it to the *Hashed entry
-// points, which use it for both shard selection and bucket placement. Exact
-// mode keeps fingerprint-collision chains, so a colliding pair of distinct
-// states still occupies two entries and membership stays exact.
+// points, which use it for both shard selection and slot placement. Exact
+// mode compares the stored words on a fingerprint match, so a colliding pair
+// of distinct states still occupies two slots and membership stays exact.
 //
 // With track_progress the table additionally remembers the minimum progress
 // credit each state was reached with, and Claim re-admits a state reached
@@ -30,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/support/hash.h"
@@ -72,23 +78,29 @@ class ShardedStateTable {
   uint64_t size() const;
   // Bytes of state payload held (full vectors or 8-byte fingerprints, plus
   // the progress credit when tracked) — the bench's bytes/state numerator.
+  // Slots, the arena's size words and unused block tails are not counted.
   uint64_t payload_bytes() const;
 
+  // Empties the table. The arena blocks are kept and refilled, so a table
+  // cleared and reused per search allocates only when it outgrows them.
   void Clear();
 
  private:
-  struct Entry {
-    std::vector<int32_t> words;
+  struct Slot {
+    uint64_t fingerprint = 0;
+    // Full mode: the arena copy, [size][words...]. Fingerprint-only mode: a
+    // shared non-null marker. Null marks an empty slot.
+    const int32_t* state = nullptr;
     uint64_t progress = 0;
   };
 
   struct Shard {
     mutable std::mutex mu;
-    // fingerprint -> min progress credit (fingerprint_only mode).
-    std::unordered_map<uint64_t, uint64_t> by_fingerprint;
-    // fingerprint -> states with that fingerprint (exact mode; the chain is
-    // almost always a single entry).
-    std::unordered_map<uint64_t, std::vector<Entry>> by_state;
+    std::vector<Slot> slots;  // Power-of-two size, at most half full.
+    std::vector<std::unique_ptr<int32_t[]>> blocks;
+    std::vector<size_t> block_words;
+    size_t block = 0;   // Arena block being filled.
+    size_t offset = 0;  // Next free word in it.
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> bytes{0};
   };
@@ -96,6 +108,11 @@ class ShardedStateTable {
   Shard& shard_for(uint64_t fingerprint) const {
     return *shards_[fingerprint % shards_.size()];
   }
+  // Index of the slot holding `state`, or of the empty slot where it would
+  // be inserted.
+  size_t Find(const Shard& shard, uint64_t fingerprint, std::span<const int32_t> state) const;
+  const int32_t* Store(Shard& shard, std::span<const int32_t> state);
+  static void Grow(Shard& shard);
 
   StateTableOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
