@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Merge per-bench --json reports into one BENCH_check.json.
 
-Usage: merge_bench_json.py OUTPUT INPUT [INPUT...]
+Usage: merge_bench_json.py [--check-counts REFERENCE] OUTPUT INPUT [INPUT...]
        merge_bench_json.py --self-test
 
 Each input is either the `{"bench": name, "rows": [...]}` file a bench binary
@@ -20,6 +20,13 @@ ablation row: a reduced search (por or collapse on) must never store more
 states than the unreduced run of the same config, and must agree on the
 verdict. Exits nonzero on violation so CI fails even if a bench binary's own
 tripwire was bypassed.
+
+With --check-counts, every ablation row of REFERENCE (a merged file, read
+before OUTPUT is written, so it may be the same path) must reappear in the
+merge with the same deterministic fields: ok, states, transitions,
+por_reduced_states, state_bytes and component_bytes. Host times may move.
+This is the exactness tripwire for checker speed work: a faster search must
+explore exactly the same states.
 
 Stdlib only.
 """
@@ -62,7 +69,54 @@ def load_reports(path):
         yield report.get("bench", path), report.get("rows", [])
 
 
-def merge(output_path, input_paths):
+# Ablation-row fields that depend only on the search, never on the host.
+DETERMINISTIC_FIELDS = (
+    "ok",
+    "states",
+    "transitions",
+    "por_reduced_states",
+    "state_bytes",
+    "component_bytes",
+)
+
+
+def ablation_rows_by_key(report):
+    """Maps (bench, section, config, por, collapse) to the row, for every
+    ablation row of a merged report."""
+    rows = {}
+    for name, bench_rows in report["benches"].items():
+        for row in bench_rows:
+            key = row_key(row)
+            if key[0] == "ablation":
+                rows[(name,) + key[1:]] = row
+    return rows
+
+
+def count_mismatches(reference, merged):
+    """Lists every reference ablation row missing from `merged` or differing
+    from it in a deterministic field."""
+    fresh = ablation_rows_by_key(merged)
+    failures = []
+    for key, ref_row in sorted(ablation_rows_by_key(reference).items(), key=str):
+        name, section, config, por, collapse = key
+        where = f"{name} {section} {config} por={por} collapse={collapse}"
+        row = fresh.get(key)
+        if row is None:
+            failures.append(f"{where}: row missing from the merged reports")
+            continue
+        for field in DETERMINISTIC_FIELDS:
+            if row.get(field) != ref_row.get(field):
+                failures.append(
+                    f"{where}: {field} {row.get(field)} != committed {ref_row.get(field)}"
+                )
+    return failures
+
+
+def merge(output_path, input_paths, reference_path=None):
+    reference = None
+    if reference_path is not None:
+        with open(reference_path, "r", encoding="utf-8") as f:
+            reference = json.load(f)
     merged = {"benches": {}}
     for path in input_paths:
         for name, rows in load_reports(path):
@@ -108,11 +162,14 @@ def merge(output_path, input_paths):
 
     for failure in failures:
         print(f"TRIPWIRE: {failure}", file=sys.stderr)
+    mismatches = count_mismatches(reference, merged) if reference is not None else []
+    for mismatch in mismatches:
+        print(f"COUNTS: {mismatch}", file=sys.stderr)
     print(
         f"merged {len(input_paths)} report(s), {len(ablation_rows)} ablation row(s) "
         f"-> {output_path}"
     )
-    return 1 if failures else 0
+    return 1 if failures or mismatches else 0
 
 
 def self_test():
@@ -202,6 +259,53 @@ def self_test():
         )
         assert merge(out, [bad]) == 1
 
+        # --check-counts: a fresh run whose host times moved passes; one whose
+        # deterministic fields moved, or that lost a committed row, fails.
+        committed = write(
+            "committed.json",
+            {
+                "benches": {
+                    "fig9": [
+                        bench_row("eep3", False, False, 100, transitions=150, seconds=1.0),
+                        bench_row("eep3", True, True, 60, transitions=160, seconds=0.5),
+                    ]
+                }
+            },
+        )
+        faster = write(
+            "faster.json",
+            {
+                "bench": "fig9",
+                "rows": [
+                    bench_row("eep3", False, False, 100, transitions=150, seconds=0.4),
+                    bench_row("eep3", True, True, 60, transitions=160, seconds=0.2),
+                ],
+            },
+        )
+        assert merge(out, [faster], reference_path=committed) == 0
+        drifted = write(
+            "drifted.json",
+            {
+                "bench": "fig9",
+                "rows": [
+                    bench_row("eep3", False, False, 100, transitions=150, seconds=0.4),
+                    bench_row("eep3", True, True, 60, transitions=161, seconds=0.2),
+                ],
+            },
+        )
+        assert merge(out, [drifted], reference_path=committed) == 1
+        partial = write(
+            "partial.json",
+            {"bench": "fig9", "rows": [bench_row("eep3", False, False, 100, transitions=150)]},
+        )
+        assert merge(out, [partial], reference_path=committed) == 1
+        # The reference may be the output path itself: it is read first.
+        with open(committed, encoding="utf-8") as f:
+            committed_payload = json.load(f)
+        in_place = write("in_place.json", committed_payload)
+        assert merge(in_place, [drifted], reference_path=in_place) == 1
+        assert merge(in_place, [faster], reference_path=committed) == 0
+
     print("merge_bench_json self-test passed")
     return 0
 
@@ -209,10 +313,14 @@ def self_test():
 def main(argv):
     if len(argv) == 2 and argv[1] == "--self-test":
         return self_test()
+    reference_path = None
+    if len(argv) > 2 and argv[1] == "--check-counts":
+        reference_path = argv[2]
+        argv = argv[:1] + argv[3:]
     if len(argv) < 3:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    return merge(argv[1], argv[2:])
+    return merge(argv[1], argv[2:], reference_path)
 
 
 if __name__ == "__main__":

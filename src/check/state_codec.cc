@@ -102,12 +102,15 @@ StateCodec::StateCodec(CheckedSystem& system, CollapseTable* table)
     key_size_ = process_count;
     current_.assign(static_cast<size_t>(process_count), kDirty);
     full_.resize(static_cast<size_t>(total));
+    lane_hash_.resize(static_cast<size_t>(process_count) + 1);
+    lane_hash_[0] = HashWordsStart(full_.size());
   } else {
     key_size_ = total;
   }
 }
 
 std::span<int32_t> StateCodec::FullSlice(size_t process) {
+  rehash_from_ = std::min(rehash_from_, process);
   return std::span<int32_t>(full_).subspan(static_cast<size_t>(offsets_[process]),
                                            static_cast<size_t>(sizes_[process]));
 }
@@ -173,8 +176,22 @@ void StateCodec::Restore(const std::vector<int32_t>& key) {
   }
 }
 
-uint64_t StateCodec::FullStateHash(uint64_t key_hash) const {
-  return table_ == nullptr ? key_hash : HashWords(full_);
+uint64_t StateCodec::FullStateHash(uint64_t key_hash) {
+  if (table_ == nullptr) {
+    return key_hash;
+  }
+  const size_t processes = sizes_.size();
+  if (rehash_from_ < processes) {
+    uint64_t hash = lane_hash_[rehash_from_];
+    for (size_t p = rehash_from_; p < processes; ++p) {
+      size_t end = p + 1 < processes ? static_cast<size_t>(offsets_[p + 1]) : full_.size();
+      hash = HashWordsLanes(hash, full_, static_cast<size_t>(offsets_[p]) / 2, end / 2);
+      lane_hash_[p + 1] = hash;
+    }
+    full_hash_ = HashWordsFinish(hash, full_);
+    rehash_from_ = processes;
+  }
+  return full_hash_;
 }
 
 }  // namespace efeu::check

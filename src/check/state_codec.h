@@ -124,8 +124,10 @@ class StateCodec {
   // HashWords of the live system's full snapshot (every process's words in
   // process-id order) as of the last Encode*: a hash that does not depend
   // on whether keys are collapsed. In full mode the key is that snapshot,
-  // so the caller's `key_hash` (HashWords of the key) is returned as is.
-  uint64_t FullStateHash(uint64_t key_hash) const;
+  // so the caller's `key_hash` (HashWords of the key) is returned as is; in
+  // collapse mode only the words from the first process rewritten since the
+  // previous call onward are rehashed.
+  uint64_t FullStateHash(uint64_t key_hash);
 
  private:
   static constexpr int32_t kDirty = -1;
@@ -144,6 +146,13 @@ class StateCodec {
   // Collapse mode: the snapshot behind current_[p] at offsets_[p], so
   // wherever no process is dirty this is the live system's full snapshot.
   std::vector<int32_t> full_;
+  // Collapse mode, for FullStateHash: lane_hash_[p] is the running HashWords
+  // value before the lane holding process p's first word, valid for every
+  // p <= rehash_from_; full_hash_ is the last result, valid while
+  // rehash_from_ is the process count.
+  std::vector<uint64_t> lane_hash_;
+  size_t rehash_from_ = 0;
+  uint64_t full_hash_ = 0;
 };
 
 }  // namespace efeu::check

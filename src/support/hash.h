@@ -36,19 +36,42 @@ inline uint64_t Mix64(uint64_t x) {
 // multiply-xor-rotate round instead of FNV's one-multiply-per-byte, then runs
 // the final avalanche mix. Roughly 8x fewer multiplies per state than the
 // byte-at-a-time loop on the visited-set hot path.
-inline uint64_t HashWords(std::span<const int32_t> words, uint64_t seed = 0xcbf29ce484222325ull) {
-  uint64_t hash = seed ^ (static_cast<uint64_t>(words.size()) * 0x9e3779b97f4a7c15ull);
-  size_t i = 0;
-  for (; i + 2 <= words.size(); i += 2) {
+//
+// It also comes in resumable steps, for a caller that keeps a long vector
+// and rehashes it after changing words only past some point: with
+// lanes = words.size() / 2,
+//   HashWordsFinish(HashWordsLanes(HashWordsStart(words.size()), words, 0, lanes), words)
+// equals HashWords(words), and the running value after any lane can be kept
+// and resumed from.
+inline constexpr uint64_t kHashWordsSeed = 0xcbf29ce484222325ull;
+
+inline uint64_t HashWordsStart(size_t size, uint64_t seed = kHashWordsSeed) {
+  return seed ^ (static_cast<uint64_t>(size) * 0x9e3779b97f4a7c15ull);
+}
+
+// Consumes lanes [first_lane, end_lane): lane i is words 2i and 2i + 1.
+inline uint64_t HashWordsLanes(uint64_t hash, std::span<const int32_t> words, size_t first_lane,
+                               size_t end_lane) {
+  for (size_t i = 2 * first_lane; i < 2 * end_lane; i += 2) {
     uint64_t lane = static_cast<uint64_t>(static_cast<uint32_t>(words[i])) |
                     (static_cast<uint64_t>(static_cast<uint32_t>(words[i + 1])) << 32);
     hash = (hash ^ lane) * 0xd6e8feb86659fd93ull;
     hash = (hash << 27) | (hash >> 37);
   }
-  if (i < words.size()) {
-    hash = (hash ^ static_cast<uint32_t>(words[i])) * 0xd6e8feb86659fd93ull;
+  return hash;
+}
+
+// Consumes the odd trailing word, if any, and applies the final mix.
+inline uint64_t HashWordsFinish(uint64_t hash, std::span<const int32_t> words) {
+  if (words.size() % 2 != 0) {
+    hash = (hash ^ static_cast<uint32_t>(words.back())) * 0xd6e8feb86659fd93ull;
   }
   return Mix64(hash);
+}
+
+inline uint64_t HashWords(std::span<const int32_t> words, uint64_t seed = kHashWordsSeed) {
+  return HashWordsFinish(
+      HashWordsLanes(HashWordsStart(words.size(), seed), words, 0, words.size() / 2), words);
 }
 
 inline uint64_t CombineHash(uint64_t a, uint64_t b) {

@@ -1,6 +1,7 @@
 #include "src/support/state_table.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace efeu {
 
@@ -11,9 +12,11 @@ constexpr size_t kBlockWords = size_t{1} << 14;  // 64 KiB arena blocks.
 // Stands in for the stored state in fingerprint-only slots.
 constexpr int32_t kFingerprintMarker = 0;
 
-// Slot placement uses fingerprint bits above those the shard index consumes.
+// A slot's home is the fingerprint's top bits: they are independent of the
+// low bits that pick the shard, and doubling the array maps home h to 2h or
+// 2h + 1, so Grow's in-order rehash writes the new array nearly in order.
 size_t Home(uint64_t fingerprint, size_t mask) {
-  return static_cast<size_t>(fingerprint >> 16) & mask;
+  return static_cast<size_t>(fingerprint >> std::countl_zero(static_cast<uint64_t>(mask)));
 }
 
 }  // namespace

@@ -20,9 +20,11 @@
 #include <vector>
 
 #include "src/check/checker.h"
+#include "src/check/state_codec.h"
 #include "src/i2c/verify.h"
 #include "src/ir/compile.h"
 #include "src/spi/verify.h"
+#include "src/support/hash.h"
 
 namespace efeu {
 namespace {
@@ -337,6 +339,72 @@ void Wire(check::CheckedSystem& system, const ir::Compilation& comp, int up, int
 // visited set — and never expand the third process, hiding its assertion
 // failure. The cycle proviso (ample edge hits the DFS stack -> full
 // expansion) must recover it.
+// The forced-run sampling rule hashes the full snapshot, which the COLLAPSE
+// codec maintains and rehashes only from the first rewritten process on.
+// Random walks with restores to earlier keys must always agree with a hash
+// of a fresh snapshot of every process.
+TEST(StateCodec, FullStateHashMatchesFreshSnapshot) {
+  i2c::VerifyConfig config;
+  config.level = i2c::VerifyLevel::kEepDriver;
+  config.abstraction = i2c::VerifyAbstraction::kTransaction;
+  config.num_ops = 2;
+  config.max_len = 3;
+  config.fault_events = 1;
+  DiagnosticEngine diag;
+  auto verifier = i2c::BuildVerifier(config, diag);
+  ASSERT_NE(verifier, nullptr) << diag.RenderAll();
+  check::CheckedSystem& system = verifier->system();
+  check::CollapseTable table(system.SnapshotSizes());
+  check::StateCodec codec(system, &table);
+
+  auto fresh_hash = [&system] {
+    std::vector<int32_t> full;
+    for (int p = 0; p < system.process_count(); ++p) {
+      std::vector<int32_t> words(static_cast<size_t>(system.process(p).SnapshotSize()));
+      system.process(p).Snapshot(words);
+      full.insert(full.end(), words.begin(), words.end());
+    }
+    return HashWords(full);
+  };
+
+  uint64_t rng = 12345;
+  auto next_random = [&rng](size_t bound) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<size_t>(rng >> 33) % bound;
+  };
+  std::vector<std::vector<int32_t>> seen;
+  std::vector<int32_t> key;
+  std::vector<check::CheckedSystem::Transition> enabled;
+  int checked = 0;
+  for (int walk = 0; walk < 40; ++walk) {
+    system.ResetAll();
+    check::Violation violation;
+    bool progress = false;
+    ASSERT_TRUE(system.Closure(&violation, &progress));
+    codec.EncodeFull(&key);
+    if (!seen.empty() && walk % 2 == 1) {
+      codec.Restore(seen[next_random(seen.size())]);  // Resume from an earlier state.
+    }
+    for (int step = 0; step < 60; ++step) {
+      system.EnabledTransitions(&enabled);
+      if (enabled.empty()) {
+        break;
+      }
+      const check::CheckedSystem::Transition t = enabled[next_random(enabled.size())];
+      codec.NoteStep(t);
+      system.Apply(t);
+      if (!system.Closure(&violation, &progress)) {
+        break;
+      }
+      codec.EncodeStep(&key);
+      ASSERT_EQ(codec.FullStateHash(0), fresh_hash()) << "walk " << walk << " step " << step;
+      ++checked;
+      seen.push_back(key);
+    }
+  }
+  EXPECT_GT(checked, 200);
+}
+
 TEST(PorRegression, CycleProvisoRecoversHiddenViolation) {
   auto pair = Compile(R"esm(
 void Up() {

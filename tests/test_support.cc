@@ -1,12 +1,15 @@
 // Unit tests for the support utilities: text handling, line counting,
-// diagnostics rendering, hashing, reserved words.
+// diagnostics rendering, hashing, the visited-state table, reserved words;
+// plus the checker's COLLAPSE component table, which is built the same way.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <thread>
+#include <vector>
 
+#include "src/check/state_codec.h"
 #include "src/support/diagnostics.h"
 #include "src/support/hash.h"
 #include "src/support/reserved_words.h"
@@ -226,6 +229,172 @@ TEST(StateTable, ConcurrentClaimsAdmitEachStateOnce) {
   // exactly one of them.
   EXPECT_EQ(admitted.load(), kStates);
   EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
+}
+
+TEST(Hash, ResumableStepsMatchHashWords) {
+  for (size_t size : {0u, 1u, 2u, 7u, 64u, 65u}) {
+    std::vector<int32_t> words(size);
+    for (size_t i = 0; i < size; ++i) {
+      words[i] = static_cast<int32_t>(i * 2654435761u);
+    }
+    size_t lanes = size / 2;
+    size_t split = lanes / 3;
+    uint64_t head = HashWordsLanes(HashWordsStart(size), words, 0, split);
+    uint64_t resumed = HashWordsFinish(HashWordsLanes(head, words, split, lanes), words);
+    EXPECT_EQ(resumed, HashWords(words)) << "size " << size;
+  }
+}
+
+TEST(StateTable, ExactModeKeepsFingerprintCollisionsApart) {
+  // Two distinct states handed over with the same fingerprint: exact mode
+  // compares the words and stores both, fingerprint-only mode merges them.
+  std::vector<int32_t> a = {1, 2, 3};
+  std::vector<int32_t> b = {4, 5, 6};
+  std::vector<int32_t> c = {1, 2};  // A prefix of `a`, same fingerprint too.
+  constexpr uint64_t kFingerprint = 0x1234;
+
+  ShardedStateTable exact;
+  EXPECT_TRUE(exact.ClaimHashed(kFingerprint, a));
+  EXPECT_TRUE(exact.WouldClaimHashed(kFingerprint, b));
+  EXPECT_TRUE(exact.ClaimHashed(kFingerprint, b));
+  EXPECT_TRUE(exact.ClaimHashed(kFingerprint, c));
+  EXPECT_FALSE(exact.ClaimHashed(kFingerprint, a));
+  EXPECT_FALSE(exact.ClaimHashed(kFingerprint, b));
+  EXPECT_FALSE(exact.ClaimHashed(kFingerprint, c));
+  EXPECT_EQ(exact.size(), 3u);
+
+  StateTableOptions options;
+  options.fingerprint_only = true;
+  ShardedStateTable compact(options);
+  EXPECT_TRUE(compact.ClaimHashed(kFingerprint, a));
+  EXPECT_FALSE(compact.WouldClaimHashed(kFingerprint, b));
+  EXPECT_FALSE(compact.ClaimHashed(kFingerprint, b));
+  EXPECT_EQ(compact.size(), 1u);
+}
+
+// States of lengths 1..7 with distinct contents.
+std::vector<int32_t> MixedLengthState(int32_t i) {
+  return std::vector<int32_t>(static_cast<size_t>(1 + i % 7), i);
+}
+
+TEST(StateTable, MembershipAndCreditsSurviveRehashes) {
+  // 256 initial slots, grown at half full: 5000 states force at least five
+  // doublings, and the states span several arena blocks' worth of lengths.
+  for (bool fingerprint_only : {false, true}) {
+    StateTableOptions options;
+    options.fingerprint_only = fingerprint_only;
+    options.track_progress = true;
+    ShardedStateTable table(options);
+    constexpr int32_t kStates = 5000;
+    uint64_t payload = 0;
+    for (int32_t i = 0; i < kStates; ++i) {
+      std::vector<int32_t> state = MixedLengthState(i);
+      ASSERT_TRUE(table.Claim(state, static_cast<uint64_t>(100 + i % 10)));
+      payload += (fingerprint_only ? 8 : state.size() * sizeof(int32_t)) + sizeof(uint64_t);
+    }
+    EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
+    EXPECT_EQ(table.payload_bytes(), payload);
+    for (int32_t i = 0; i < kStates; ++i) {
+      std::vector<int32_t> state = MixedLengthState(i);
+      uint64_t credit = static_cast<uint64_t>(100 + i % 10);
+      EXPECT_FALSE(table.WouldClaim(state, credit)) << i;
+      EXPECT_TRUE(table.WouldClaim(state, credit - 1)) << i;
+    }
+    // A different length with the same words is a different state.
+    EXPECT_TRUE(table.WouldClaim(std::vector<int32_t>(8, 0)));
+    EXPECT_TRUE(table.Claim(MixedLengthState(42), 1));  // Lower credit: re-admitted.
+    EXPECT_FALSE(table.Claim(MixedLengthState(42), 1));
+    EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
+  }
+}
+
+TEST(StateTable, ClearThenReuse) {
+  ShardedStateTable table;
+  for (int round = 0; round < 3; ++round) {
+    // Rounds claim overlapping ranges of different sizes: whatever a cleared
+    // round stored must be gone, and the kept arena is refilled correctly.
+    int32_t first = round * 100;
+    int32_t count = 2000 - round * 600;
+    for (int32_t i = first; i < first + count; ++i) {
+      ASSERT_TRUE(table.Claim(MixedLengthState(i))) << round << " " << i;
+    }
+    for (int32_t i = first; i < first + count; ++i) {
+      ASSERT_FALSE(table.Claim(MixedLengthState(i))) << round << " " << i;
+    }
+    EXPECT_TRUE(table.WouldClaim(MixedLengthState(first + count)));
+    EXPECT_EQ(table.size(), static_cast<uint64_t>(count));
+    table.Clear();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.payload_bytes(), 0u);
+    EXPECT_TRUE(table.WouldClaim(MixedLengthState(first)));
+  }
+}
+
+TEST(CollapseTable, IdsStayDenseAndStableAcrossIndexGrowth) {
+  check::CollapseTable table({3, 1});
+  constexpr int32_t kComponents = 3000;  // Many index doublings.
+  for (int32_t i = 0; i < kComponents; ++i) {
+    std::vector<int32_t> snapshot = {i, -i, i * 7};
+    EXPECT_EQ(table.Intern(0, snapshot), i);  // Ids are handed out densely.
+    EXPECT_EQ(table.Intern(1, std::vector<int32_t>{i % 5}), i % 5);  // First seen in order.
+  }
+  EXPECT_EQ(table.components(), static_cast<uint64_t>(kComponents + 5));
+  std::vector<int32_t> out(3);
+  for (int32_t i = 0; i < kComponents; ++i) {
+    std::vector<int32_t> snapshot = {i, -i, i * 7};
+    EXPECT_EQ(table.Intern(0, snapshot), i);  // Same content, same id.
+    table.Expand(0, i, out);
+    EXPECT_EQ(out, snapshot);
+  }
+  EXPECT_EQ(table.components(), static_cast<uint64_t>(kComponents + 5));
+  EXPECT_EQ(table.payload_bytes(),
+            static_cast<uint64_t>(kComponents) * (3 + 1) * sizeof(int32_t) +
+                5u * (1 + 1) * sizeof(int32_t));
+}
+
+TEST(CollapseTable, ConcurrentInternAndExpand) {
+  // Four threads intern overlapping snapshot sets and expand every id they
+  // get back; content addressing must give every thread the same ids, and
+  // the ids must stay dense. Run under TSan by the sanitizer CI job.
+  check::CollapseTable table({4});
+  constexpr int kThreads = 4;
+  constexpr int32_t kSnapshots = 4096;
+  std::vector<std::vector<int32_t>> ids(kThreads, std::vector<int32_t>(kSnapshots));
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<int32_t> out(4);
+      for (int32_t n = 0; n < kSnapshots; ++n) {
+        // Each thread walks the set in its own order (odd strides permute
+        // a power-of-two range).
+        int32_t i = (n * (2 * t + 1) + t * 997) % kSnapshots;
+        std::vector<int32_t> snapshot = {i, i + 1, i * 31, -i};
+        int32_t id = table.Intern(0, snapshot);
+        ids[static_cast<size_t>(t)][static_cast<size_t>(i)] = id;
+        table.Expand(0, id, out);
+        if (out != snapshot) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(table.components(), static_cast<uint64_t>(kSnapshots));
+  std::vector<bool> seen(kSnapshots, false);
+  for (int32_t i = 0; i < kSnapshots; ++i) {
+    int32_t id = ids[0][static_cast<size_t>(i)];
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(ids[static_cast<size_t>(t)][static_cast<size_t>(i)], id) << i;
+    }
+    ASSERT_GE(id, 0);
+    ASSERT_LT(id, kSnapshots);
+    EXPECT_FALSE(seen[static_cast<size_t>(id)]) << "id " << id << " handed out twice";
+    seen[static_cast<size_t>(id)] = true;
+  }
 }
 
 TEST(ReservedWords, PromelaKeywords) {
