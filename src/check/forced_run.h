@@ -47,11 +47,12 @@ class ForcedRunWalker {
 
   // Walks from the live state, whose key is *key (hash *key_hash) and whose
   // only enabled transition is (*enabled)[0], appending each transition
-  // taken to *steps. Whenever Walk returns, *key, *key_hash and *enabled
-  // describe the last state reached. The hooks are called as the walk goes:
-  // applied() after each transition, reduced() for each unsampled run state
-  // walked inline, and stop() after each run state; stop() returning true
-  // ends the walk with kStopped.
+  // taken to *steps. On kLanded, *key, *key_hash and *enabled describe the
+  // landing state; on kViolated, *violation holds the closure's error. The
+  // hooks are called as the walk goes: applied() after each transition,
+  // reduced() for each unsampled run state walked inline, and stop() after
+  // each run state walked past; stop() returning true ends the walk with
+  // kStopped.
   template <typename Applied, typename Reduced, typename Stop>
   End Walk(std::vector<int32_t>* key, uint64_t* key_hash,
            std::vector<CheckedSystem::Transition>* enabled,

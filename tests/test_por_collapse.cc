@@ -341,7 +341,7 @@ void Wire(check::CheckedSystem& system, const ir::Compilation& comp, int up, int
 // expansion) must recover it.
 // The forced-run sampling rule hashes the full snapshot, which the COLLAPSE
 // codec maintains and rehashes only from the first rewritten process on.
-// Random walks with restores to earlier keys must always agree with a hash
+// Random walks that jump back to earlier keys must always agree with a hash
 // of a fresh snapshot of every process.
 TEST(StateCodec, FullStateHashMatchesFreshSnapshot) {
   i2c::VerifyConfig config;
@@ -400,6 +400,11 @@ TEST(StateCodec, FullStateHashMatchesFreshSnapshot) {
       ASSERT_EQ(codec.FullStateHash(0), fresh_hash()) << "walk " << walk << " step " << step;
       ++checked;
       seen.push_back(key);
+      if (next_random(4) == 0) {
+        // Jump to an earlier state mid-walk, as the DFS does on backtrack.
+        codec.Restore(seen[next_random(seen.size())]);
+        ASSERT_EQ(codec.FullStateHash(0), fresh_hash()) << "restore, walk " << walk;
+      }
     }
   }
   EXPECT_GT(checked, 200);
