@@ -13,6 +13,7 @@
 #include "src/check/parallel.h"
 #include "src/check/state_codec.h"
 #include "src/support/hash.h"
+#include "src/support/probe_table.h"
 #include "src/support/state_table.h"
 
 namespace efeu::check {
@@ -42,90 +43,48 @@ struct Frame {
 // slot holds only the key's hash and the depth; keys are compared against
 // the frames themselves, so pushing a frame copies no key. Map semantics:
 // inserting a key already present moves it to the new depth, and erasing a
-// key removes it whatever depth it points at. Linear probing with
-// backward-shift deletion, so no tombstones build up.
+// key removes it whatever depth it points at.
 class StackIndex {
  public:
-  explicit StackIndex(const std::vector<Frame>& frames) : frames_(frames), slots_(64) {}
+  explicit StackIndex(const std::vector<Frame>& frames) : frames_(frames) {}
 
   // Depth of the frame holding `key`, or -1.
   int Find(uint64_t hash, std::span<const int32_t> key) const {
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask; slots_[i].depth >= 0; i = (i + 1) & mask) {
-      if (Holds(slots_[i], hash, key)) {
-        return slots_[i].depth;
-      }
-    }
-    return -1;
+    return slots_[Locate(hash, key)].depth;
   }
 
   void Insert(uint64_t hash, std::span<const int32_t> key, int depth) {
-    if ((count_ + 1) * 2 > slots_.size()) {
-      Grow();
+    const size_t i = Locate(hash, key);
+    if (slots_[i].empty()) {
+      slots_.InsertAt(i, Slot{hash, depth});
+    } else {
+      slots_[i].depth = depth;
     }
-    const size_t mask = slots_.size() - 1;
-    size_t i = hash & mask;
-    for (; slots_[i].depth >= 0; i = (i + 1) & mask) {
-      if (Holds(slots_[i], hash, key)) {
-        slots_[i].depth = depth;
-        return;
-      }
-    }
-    slots_[i] = Slot{hash, depth};
-    ++count_;
   }
 
   void Erase(uint64_t hash, std::span<const int32_t> key) {
-    const size_t mask = slots_.size() - 1;
-    size_t hole = hash & mask;
-    for (; !Holds(slots_[hole], hash, key); hole = (hole + 1) & mask) {
-      if (slots_[hole].depth < 0) {
-        return;
-      }
+    const size_t i = Locate(hash, key);
+    if (!slots_[i].empty()) {
+      slots_.EraseAt(i);
     }
-    // Pull each later entry of the probe run back into the hole unless its
-    // home slot lies cyclically after the hole.
-    for (size_t j = (hole + 1) & mask; slots_[j].depth >= 0; j = (j + 1) & mask) {
-      size_t home = slots_[j].hash & mask;
-      if (((j - home) & mask) >= ((j - hole) & mask)) {
-        slots_[hole] = slots_[j];
-        hole = j;
-      }
-    }
-    slots_[hole].depth = -1;
-    --count_;
   }
 
  private:
   struct Slot {
-    uint64_t hash = 0;
-    int depth = -1;  // -1 marks an empty slot.
+    uint64_t fingerprint = 0;  // HashWords of the key.
+    int depth = -1;            // -1 marks an empty slot.
+
+    bool empty() const { return depth < 0; }
   };
 
-  bool Holds(const Slot& slot, uint64_t hash, std::span<const int32_t> key) const {
-    return slot.depth >= 0 && slot.hash == hash &&
-           std::ranges::equal(frames_[static_cast<size_t>(slot.depth)].key, key);
-  }
-
-  void Grow() {
-    std::vector<Slot> old(slots_.size() * 2);
-    old.swap(slots_);
-    const size_t mask = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.depth < 0) {
-        continue;
-      }
-      size_t i = slot.hash & mask;
-      while (slots_[i].depth >= 0) {
-        i = (i + 1) & mask;
-      }
-      slots_[i] = slot;
-    }
+  size_t Locate(uint64_t hash, std::span<const int32_t> key) const {
+    return slots_.Find(hash, [&](const Slot& slot) {
+      return std::ranges::equal(frames_[static_cast<size_t>(slot.depth)].key, key);
+    });
   }
 
   const std::vector<Frame>& frames_;
-  std::vector<Slot> slots_;
-  size_t count_ = 0;
+  ProbeTable<Slot> slots_{64};
 };
 
 }  // namespace

@@ -12,7 +12,6 @@ CollapseTable::CollapseTable(std::vector<int> sizes) {
   for (int size : sizes) {
     auto pp = std::make_unique<PerProcess>();
     pp->size = size;
-    pp->index.resize(kInitialIndexSlots);
     per_process_.push_back(std::move(pp));
   }
 }
@@ -21,14 +20,11 @@ int32_t CollapseTable::Intern(int process, std::span<const int32_t> snapshot) {
   PerProcess& pp = *per_process_[process];
   uint64_t fingerprint = HashWords(snapshot);
   std::lock_guard<std::mutex> lock(pp.mu);
-  size_t mask = pp.index.size() - 1;
-  size_t probe = static_cast<size_t>(fingerprint) & mask;
-  for (; pp.index[probe].id >= 0; probe = (probe + 1) & mask) {
-    const IndexSlot& entry = pp.index[probe];
-    if (entry.fingerprint == fingerprint &&
-        std::equal(snapshot.begin(), snapshot.end(), Slot(pp, entry.id))) {
-      return entry.id;
-    }
+  const size_t probe = pp.index.Find(fingerprint, [&](const IndexSlot& entry) {
+    return std::equal(snapshot.begin(), snapshot.end(), Slot(pp, entry.id));
+  });
+  if (!pp.index[probe].empty()) {
+    return pp.index[probe].id;
   }
   int32_t id = pp.count.load(std::memory_order_relaxed);
   EFEU_CHECK(id < PerProcess::kChunkSize * PerProcess::kMaxChunks,
@@ -45,32 +41,13 @@ int32_t CollapseTable::Intern(int process, std::span<const int32_t> snapshot) {
   int32_t* slot = chunk + (static_cast<size_t>(id) & (PerProcess::kChunkSize - 1)) *
                               static_cast<size_t>(pp.size);
   std::copy(snapshot.begin(), snapshot.end(), slot);
-  pp.index[probe] = IndexSlot{fingerprint, id};
-  if (static_cast<size_t>(id + 1) * 2 > pp.index.size()) {
-    GrowIndex(pp);
-  }
+  pp.index.InsertAt(probe, IndexSlot{fingerprint, id});
   // Publish after the payload is in place; readers that learned `id` through
   // a synchronized handoff see the filled slot.
   pp.count.store(id + 1, std::memory_order_release);
   payload_bytes_.fetch_add(static_cast<uint64_t>(pp.size) * sizeof(int32_t) + sizeof(int32_t),
                            std::memory_order_relaxed);
   return id;
-}
-
-void CollapseTable::GrowIndex(PerProcess& pp) {
-  std::vector<IndexSlot> old(pp.index.size() * 2);
-  old.swap(pp.index);
-  size_t mask = pp.index.size() - 1;
-  for (const IndexSlot& entry : old) {
-    if (entry.id < 0) {
-      continue;
-    }
-    size_t probe = static_cast<size_t>(entry.fingerprint) & mask;
-    while (pp.index[probe].id >= 0) {
-      probe = (probe + 1) & mask;
-    }
-    pp.index[probe] = entry;
-  }
 }
 
 void CollapseTable::Expand(int process, int32_t id, std::span<int32_t> out) const {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/check/checker.h"
+#include "src/support/probe_table.h"
 
 namespace efeu::check {
 
@@ -59,8 +60,12 @@ class CollapseTable {
  private:
   struct IndexSlot {
     uint64_t fingerprint = 0;
-    int32_t id = -1;
+    int32_t id = -1;  // -1 marks an empty slot.
+
+    bool empty() const { return id < 0; }
   };
+
+  static constexpr size_t kInitialIndexSlots = 64;
 
   struct PerProcess {
     static constexpr int kChunkShift = 10;
@@ -69,18 +74,14 @@ class CollapseTable {
 
     std::mutex mu;
     int size = 0;
-    // Linear-probing {fingerprint, id} array over the payloads, power-of-two
-    // sized and at most half full; id -1 marks an empty slot. Guarded by mu.
-    std::vector<IndexSlot> index;
+    // {fingerprint, id} probe array over the payloads. Guarded by mu.
+    ProbeTable<IndexSlot> index{kInitialIndexSlots};
     std::atomic<int32_t> count{0};
     // Fixed-size top level so readers never race a reallocation; chunk
     // payloads are written before the pointer is release-published.
     std::array<std::atomic<int32_t*>, kMaxChunks> chunks{};
     std::vector<std::unique_ptr<int32_t[]>> owned;  // Guarded by mu.
   };
-
-  static constexpr size_t kInitialIndexSlots = 64;
-  static void GrowIndex(PerProcess& pp);
 
   static const int32_t* Slot(const PerProcess& pp, int32_t id) {
     const int32_t* chunk =

@@ -1,23 +1,14 @@
 #include "src/support/state_table.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace efeu {
 
 namespace {
 
-constexpr size_t kInitialSlots = 256;
 constexpr size_t kBlockWords = size_t{1} << 14;  // 64 KiB arena blocks.
 // Stands in for the stored state in fingerprint-only slots.
 constexpr int32_t kFingerprintMarker = 0;
-
-// A slot's home is the fingerprint's top bits: they are independent of the
-// low bits that pick the shard, and doubling the array maps home h to 2h or
-// 2h + 1, so Grow's in-order rehash writes the new array nearly in order.
-size_t Home(uint64_t fingerprint, size_t mask) {
-  return static_cast<size_t>(fingerprint >> std::countl_zero(static_cast<uint64_t>(mask)));
-}
 
 }  // namespace
 
@@ -26,27 +17,16 @@ ShardedStateTable::ShardedStateTable(const StateTableOptions& options) : options
   shards_.reserve(static_cast<size_t>(shards));
   for (int i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->slots.resize(kInitialSlots);
   }
 }
 
 size_t ShardedStateTable::Find(const Shard& shard, uint64_t fingerprint,
                                std::span<const int32_t> state) const {
-  const size_t mask = shard.slots.size() - 1;
-  for (size_t i = Home(fingerprint, mask);; i = (i + 1) & mask) {
-    const Slot& slot = shard.slots[i];
-    if (slot.state == nullptr) {
-      return i;
-    }
-    if (slot.fingerprint != fingerprint) {
-      continue;
-    }
-    if (options_.fingerprint_only ||
-        (static_cast<size_t>(slot.state[0]) == state.size() &&
-         std::equal(state.begin(), state.end(), slot.state + 1))) {
-      return i;
-    }
-  }
+  return shard.slots.Find(fingerprint, [&](const Slot& slot) {
+    return options_.fingerprint_only ||
+           (static_cast<size_t>(slot.state[0]) == state.size() &&
+            std::equal(state.begin(), state.end(), slot.state + 1));
+  });
 }
 
 const int32_t* ShardedStateTable::Store(Shard& shard, std::span<const int32_t> state) {
@@ -68,47 +48,28 @@ const int32_t* ShardedStateTable::Store(Shard& shard, std::span<const int32_t> s
   return stored;
 }
 
-void ShardedStateTable::Grow(Shard& shard) {
-  std::vector<Slot> old(shard.slots.size() * 2);
-  old.swap(shard.slots);
-  const size_t mask = shard.slots.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.state == nullptr) {
-      continue;
-    }
-    size_t i = Home(slot.fingerprint, mask);
-    while (shard.slots[i].state != nullptr) {
-      i = (i + 1) & mask;
-    }
-    shard.slots[i] = slot;
-  }
-}
-
 bool ShardedStateTable::ClaimHashed(uint64_t fingerprint, std::span<const int32_t> state,
                                     uint64_t progress) {
   Shard& shard = shard_for(fingerprint);
   std::lock_guard<std::mutex> lock(shard.mu);
-  Slot& slot = shard.slots[Find(shard, fingerprint, state)];
-  if (slot.state != nullptr) {
+  const size_t i = Find(shard, fingerprint, state);
+  Slot& slot = shard.slots[i];
+  if (!slot.empty()) {
     if (options_.track_progress && progress < slot.progress) {
       slot.progress = progress;
       return true;
     }
     return false;
   }
-  slot.fingerprint = fingerprint;
-  slot.state = options_.fingerprint_only ? &kFingerprintMarker : Store(shard, state);
-  slot.progress = progress;
+  shard.slots.InsertAt(
+      i, Slot{fingerprint,
+              options_.fingerprint_only ? &kFingerprintMarker : Store(shard, state), progress});
   uint64_t entry_bytes = options_.fingerprint_only ? 8 : state.size() * sizeof(int32_t);
   if (options_.track_progress) {
     entry_bytes += sizeof(uint64_t);
   }
-  uint64_t count = shard.count.load(std::memory_order_relaxed) + 1;
-  shard.count.store(count, std::memory_order_relaxed);
+  shard.count.store(shard.slots.count(), std::memory_order_relaxed);
   shard.bytes.fetch_add(entry_bytes, std::memory_order_relaxed);
-  if (count * 2 > shard.slots.size()) {
-    Grow(shard);
-  }
   return true;
 }
 
@@ -117,7 +78,7 @@ bool ShardedStateTable::WouldClaimHashed(uint64_t fingerprint, std::span<const i
   const Shard& shard = shard_for(fingerprint);
   std::lock_guard<std::mutex> lock(shard.mu);
   const Slot& slot = shard.slots[Find(shard, fingerprint, state)];
-  if (slot.state == nullptr) {
+  if (slot.empty()) {
     return true;
   }
   return options_.track_progress && progress < slot.progress;
@@ -142,7 +103,7 @@ uint64_t ShardedStateTable::payload_bytes() const {
 void ShardedStateTable::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->slots.assign(kInitialSlots, Slot{});
+    shard->slots.Reset(kInitialSlots);
     shard->block = 0;
     shard->offset = 0;
     shard->count.store(0, std::memory_order_relaxed);

@@ -11,11 +11,11 @@
 //    exchange for a fixed 8 bytes per state.
 //
 // Storage is flat. Each shard is one power-of-two, linear-probing slot
-// array of {fingerprint, stored state, progress credit}; in full mode the
-// state points into the shard's block arena, where each stored vector is
-// laid out as [size][words...]. Arena blocks never move, so growing the
-// slot array rehashes only the 24-byte slots, never the state words, and
-// no stored state costs a heap allocation of its own.
+// array (a ProbeTable) of {fingerprint, stored state, progress credit}; in
+// full mode the state points into the shard's block arena, where each
+// stored vector is laid out as [size][words...]. Arena blocks never move,
+// so growing the slot array rehashes only the 24-byte slots, never the
+// state words, and no stored state costs a heap allocation of its own.
 //
 // Each state vector is hashed exactly once: callers that already computed
 // HashWords (the checker DFS needs it anyway) pass it to the *Hashed entry
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "src/support/hash.h"
+#include "src/support/probe_table.h"
 
 namespace efeu {
 
@@ -92,15 +93,20 @@ class ShardedStateTable {
     // shared non-null marker. Null marks an empty slot.
     const int32_t* state = nullptr;
     uint64_t progress = 0;
+
+    bool empty() const { return state == nullptr; }
   };
+
+  static constexpr size_t kInitialSlots = 256;
 
   struct Shard {
     mutable std::mutex mu;
-    std::vector<Slot> slots;  // Power-of-two size, at most half full.
+    ProbeTable<Slot> slots{kInitialSlots};
     std::vector<std::unique_ptr<int32_t[]>> blocks;
     std::vector<size_t> block_words;
     size_t block = 0;   // Arena block being filled.
     size_t offset = 0;  // Next free word in it.
+    // slots.count(), mirrored so size() reads it without the lock.
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> bytes{0};
   };
@@ -112,7 +118,6 @@ class ShardedStateTable {
   // be inserted.
   size_t Find(const Shard& shard, uint64_t fingerprint, std::span<const int32_t> state) const;
   const int32_t* Store(Shard& shard, std::span<const int32_t> state);
-  static void Grow(Shard& shard);
 
   StateTableOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

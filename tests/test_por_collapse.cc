@@ -333,12 +333,6 @@ void Wire(check::CheckedSystem& system, const ir::Compilation& comp, int up, int
   system.ConnectByChannel(down, up, comp.system().FindChannel("Down", "Up"));
 }
 
-// A rendezvous pair that exchanges forever on its exclusive channel. Every
-// state on that orbit has the transfer as an ample candidate, so a naive
-// reduction would explore only the A<->B cycle — closing it against the
-// visited set — and never expand the third process, hiding its assertion
-// failure. The cycle proviso (ample edge hits the DFS stack -> full
-// expansion) must recover it.
 // The forced-run sampling rule hashes the full snapshot, which the COLLAPSE
 // codec maintains and rehashes only from the first rewritten process on.
 // Random walks that jump back to earlier keys must always agree with a hash
@@ -410,6 +404,12 @@ TEST(StateCodec, FullStateHashMatchesFreshSnapshot) {
   EXPECT_GT(checked, 200);
 }
 
+// A rendezvous pair that exchanges forever on its exclusive channel. Every
+// state on that orbit has the transfer as an ample candidate, so a naive
+// reduction would explore only the A<->B cycle — closing it against the
+// visited set — and never expand the third process, hiding its assertion
+// failure. The cycle proviso (ample edge hits the DFS stack -> full
+// expansion) must recover it.
 TEST(PorRegression, CycleProvisoRecoversHiddenViolation) {
   auto pair = Compile(R"esm(
 void Up() {

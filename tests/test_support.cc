@@ -1,17 +1,20 @@
 // Unit tests for the support utilities: text handling, line counting,
-// diagnostics rendering, hashing, the visited-state table, reserved words;
-// plus the checker's COLLAPSE component table, which is built the same way.
+// diagnostics rendering, hashing, the flat probe table, the visited-state
+// table, reserved words; plus the checker's COLLAPSE component table, which
+// is built the same way.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/check/state_codec.h"
 #include "src/support/diagnostics.h"
 #include "src/support/hash.h"
+#include "src/support/probe_table.h"
 #include "src/support/reserved_words.h"
 #include "src/support/source_buffer.h"
 #include "src/support/state_table.h"
@@ -394,6 +397,54 @@ TEST(CollapseTable, ConcurrentInternAndExpand) {
     ASSERT_LT(id, kSnapshots);
     EXPECT_FALSE(seen[static_cast<size_t>(id)]) << "id " << id << " handed out twice";
     seen[static_cast<size_t>(id)] = true;
+  }
+}
+
+TEST(ProbeTable, EraseKeepsCollidingRunsFindable) {
+  // Homes come from the top bits, so in 16 slots fingerprint h << 60 has
+  // home h. Runs that start at slots 14 and 15 wrap past the end; erasing
+  // inside them must pull later entries back without stranding any.
+  struct Slot {
+    uint64_t fingerprint = 0;
+    int value = -1;
+    bool empty() const { return value < 0; }
+  };
+  ProbeTable<Slot> table(16);
+  auto locate = [&table](uint64_t fingerprint, int value) {
+    return table.Find(fingerprint, [value](const Slot& slot) { return slot.value == value; });
+  };
+  auto find = [&](uint64_t fingerprint, int value) {
+    const Slot& slot = table[locate(fingerprint, value)];
+    return slot.empty() ? -1 : slot.value;
+  };
+  const std::vector<std::pair<uint64_t, int>> entries = {
+      {uint64_t{14} << 60, 0}, {uint64_t{15} << 60, 1}, {uint64_t{14} << 60, 2},
+      {uint64_t{15} << 60, 3}, {uint64_t{0} << 60, 4},  {uint64_t{1} << 60, 5},
+      {uint64_t{14} << 60, 6}};
+  for (const auto& [fingerprint, value] : entries) {
+    size_t i = locate(fingerprint, value);
+    ASSERT_TRUE(table[i].empty());
+    table.InsertAt(i, Slot{fingerprint, value});
+  }
+  EXPECT_EQ(table.count(), entries.size());
+  for (int erased : {0, 3, 5}) {
+    const auto& [fingerprint, value] = entries[static_cast<size_t>(erased)];
+    table.EraseAt(locate(fingerprint, value));
+    EXPECT_EQ(find(fingerprint, value), -1);
+  }
+  EXPECT_EQ(table.count(), entries.size() - 3);
+  for (const auto& [fingerprint, value] : entries) {
+    bool erased = value == 0 || value == 3 || value == 5;
+    EXPECT_EQ(find(fingerprint, value), erased ? -1 : value) << "value " << value;
+  }
+  // Growing past half full rehashes every survivor.
+  for (int value = 10; value < 20; ++value) {
+    uint64_t fingerprint = static_cast<uint64_t>(value) * 0x9e3779b97f4a7c15ull;
+    table.InsertAt(locate(fingerprint, value), Slot{fingerprint, value});
+  }
+  for (const auto& [fingerprint, value] : entries) {
+    bool erased = value == 0 || value == 3 || value == 5;
+    EXPECT_EQ(find(fingerprint, value), erased ? -1 : value) << "value " << value;
   }
 }
 
