@@ -1,8 +1,8 @@
 // The Verilog backend (paper section 3.4): each layer's IR becomes one
-// Verilog module; basic blocks become FSM states; instructions become
-// blocking assignments (the EDA tool extracts parallelism); talk/read become
-// ready/valid handshakes — a send adds one state (assert valid, wait for
-// ready), a receive two (assert ready and wait for valid + save; de-assert).
+// Verilog module that prints the layer's cycle-level FSM table
+// (src/ir/fsm.h) as a `case (state)` with one arm per table entry;
+// instructions become blocking assignments (the EDA tool extracts
+// parallelism) and talk/read become ready/valid handshakes.
 
 #ifndef SRC_CODEGEN_VERILOG_VERILOG_BACKEND_H_
 #define SRC_CODEGEN_VERILOG_VERILOG_BACKEND_H_

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "src/ir/segment.h"
+#include "src/ir/fsm.h"
 
 namespace efeu::driver {
 
@@ -72,13 +72,9 @@ ResourceEstimate EstimateModule(const ir::Module& module) {
         break;
     }
   }
-  ir::Segmentation segmentation = ir::SegmentModule(module);
-  int states = segmentation.StateCount(module);
-  int state_bits = 1;
-  while ((1 << state_bits) < states) {
-    ++state_bits;
-  }
-  ff_bits += state_bits;
+  const ir::FsmTable table = ir::BuildFsmTable(module);
+  const int states = static_cast<int>(table.states.size());
+  ff_bits += table.state_bits;
   for (const ir::Port& port : module.ports) {
     if (port.is_send) {
       for (const esi::FieldInfo& field : port.channel->fields) {

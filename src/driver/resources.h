@@ -1,7 +1,8 @@
 // FPGA resource estimation (paper section 5.4): Look-Up Table and Flip-Flop
 // counts per generated module, derived from the same IR the Verilog backend
-// prints — register bits from the frame slots and port registers, logic from
-// the instruction mix and FSM state decode. The coefficients are calibrated
+// prints — register bits from the frame slots, port registers and the state
+// register, logic from the instruction mix and the decode of the FSM table
+// (src/ir/fsm.h) the backend prints. The coefficients are calibrated
 // against the paper's Vivado reports (Figures 12 and 13); EXPERIMENTS.md
 // records the calibration.
 

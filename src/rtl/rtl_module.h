@@ -1,6 +1,8 @@
-// Cycle-accurate execution of one generated layer FSM, exactly matching the
-// semantics of the Verilog the backend emits: one segment of straight-line
-// instructions per clock, ready/valid handshakes taking the same edges.
+// Cycle-accurate execution of one generated layer FSM: an interpreter of the
+// layer's ir::FsmTable (src/ir/fsm.h), the same table the Verilog backend
+// prints. One table state per clock; its body of straight-line instructions
+// runs as blocking assignments, and ready/valid handshakes take the same
+// edges as in the emitted Verilog.
 
 #ifndef SRC_RTL_RTL_MODULE_H_
 #define SRC_RTL_RTL_MODULE_H_
@@ -10,7 +12,7 @@
 #include <vector>
 
 #include "src/ir/ir.h"
-#include "src/ir/segment.h"
+#include "src/ir/fsm.h"
 #include "src/rtl/component.h"
 
 namespace efeu::rtl {
@@ -29,7 +31,7 @@ class RtlModule : public RtlComponent {
 
   const std::string& name() const { return name_; }
   const ir::Module& module() const { return *module_; }
-  // True once the FSM executed kHalt (it then holds its state forever).
+  // True once the FSM evaluated its halt state (it then holds forever).
   bool halted() const { return halted_; }
   // Cumulative clock cycles in which the FSM did useful (non-waiting) work.
   uint64_t busy_cycles() const { return busy_cycles_; }
@@ -53,14 +55,13 @@ class RtlModule : public RtlComponent {
 
   const ir::Module* module_;
   std::string name_;
-  ir::Segmentation segmentation_;
+  ir::FsmTable table_;
   std::vector<PortState> ports_;
   std::vector<int32_t> frame_;
-  int segment_ = 0;
-  // True while in the extra de-assert-ready state after a receive.
-  bool in_recv_deassert_ = false;
+  // The Verilog `state` register: an index into table_.states.
+  int state_ = 0;
   // The port whose handshake flag toggles at this clock edge's Commit(), or
-  // -1. A segment drives at most one handshake per cycle.
+  // -1. A state drives at most one handshake per cycle.
   int toggle_port_ = -1;
   bool halted_ = false;
   uint64_t busy_cycles_ = 0;

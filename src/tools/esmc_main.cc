@@ -326,6 +326,10 @@ int main(int argc, char** argv) {
       EmitFile(options, layer + ".c", text);
     }
   } else if (options.emit == "verilog") {
+    if (options.verifier) {
+      std::fprintf(stderr, "esmc: --emit verilog: verifier specifications are not hardware\n");
+      return 2;
+    }
     efeu::codegen::VerilogOutput output = efeu::codegen::GenerateVerilog(*compilation);
     for (const auto& [layer, text] : output.modules) {
       EmitFile(options, layer + ".v", text);

@@ -6,7 +6,7 @@
 
 #include "src/ir/compile.h"
 #include "src/ir/dump.h"
-#include "src/ir/segment.h"
+#include "src/ir/fsm.h"
 #include "src/vm/system.h"
 
 namespace efeu {
@@ -302,10 +302,20 @@ TEST(IrDump, MentionsBlocksAndPorts) {
 TEST(IrSegment, BlocksSplitAtBlockingInstructions) {
   auto comp = Compile(kEchoPair);
   const ir::Module* module = comp->FindModule("Down");
-  ir::Segmentation segmentation = ir::SegmentModule(*module);
-  // There must be more segments than blocks (send/recv split blocks).
-  EXPECT_GT(segmentation.segments.size(), module->blocks.size());
-  EXPECT_GT(segmentation.StateCount(*module), static_cast<int>(segmentation.segments.size()));
+  ir::FsmTable table = ir::BuildFsmTable(*module);
+  // More states than blocks (send/recv cut blocks), and each receive adds a
+  // de-assert-ready state after it.
+  EXPECT_GT(table.states.size(), module->blocks.size());
+  int recvs = 0;
+  for (size_t s = 0; s < table.states.size(); ++s) {
+    if (table.states[s].kind == ir::FsmKind::kRecv) {
+      ++recvs;
+      ASSERT_LT(s + 1, table.states.size());
+      EXPECT_EQ(table.states[s + 1].kind, ir::FsmKind::kRecvDeassert);
+      EXPECT_EQ(table.states[s].next, static_cast<int>(s + 1));
+    }
+  }
+  EXPECT_GT(recvs, 0);
 }
 
 TEST(IrModule, EndLabelFlagsPropagate) {
