@@ -440,6 +440,10 @@ TEST_F(EsmcExitCodes, UsageErrorIsTwo) {
   EXPECT_EQ(RunEsmc("--bogus-flag"), 2);
   // An action flag (--emit / --lint / --dump-analysis) is required.
   EXPECT_EQ(RunEsmc("--esi " + dir_ + "/ok.esi --esm " + dir_ + "/ok.esm"), 2);
+  // Verifier specifications may use nondet(), which has no hardware FSM.
+  EXPECT_EQ(RunEsmc("--esi " + dir_ + "/ok.esi --esm " + dir_ +
+                    "/ok.esm --verifier --emit verilog"),
+            2);
 }
 
 TEST_F(EsmcExitCodes, LintWerrorIsThree) {
